@@ -88,15 +88,9 @@ pub trait Node {
     );
 }
 
-/// Where [`Context::observe`] writes.
-///
-/// The legacy engine buffers raw observations per dispatch and lets the
-/// simulator wrap them afterwards (the pre-optimization cost model); the
-/// indexed engine hands the context the simulator's log directly, so each
-/// observation is stamped and stored exactly once.
+/// Where [`Context::observe`] writes: each observation is stamped and
+/// stored exactly once.
 pub(crate) enum ObsSink<'a, O> {
-    /// Per-dispatch scratch, drained by the simulator after the handler.
-    Scratch(Vec<O>),
     /// The simulator's observation log, written in place.
     Direct(&'a mut Vec<Observation<O>>),
     /// A streaming aggregator (the scale tier): each observation is
@@ -162,7 +156,6 @@ impl<'a, M, O> Context<'a, M, O> {
     /// Emits an observation for the metrics layer.
     pub fn observe(&mut self, obs: O) {
         match &mut self.observations {
-            ObsSink::Scratch(v) => v.push(obs),
             ObsSink::Direct(out) => out.push(Observation {
                 time: self.now,
                 process: self.id,
@@ -186,13 +179,14 @@ mod tests {
     #[test]
     fn context_buffers_effects() {
         let mut rng = StdRng::seed_from_u64(0);
+        let mut log: Vec<Observation<u32>> = Vec::new();
         let mut ctx: Context<'_, &str, u32> = Context::with_buffers(
             ProcessId(2),
             Time(7),
             &mut rng,
             Vec::new(),
             Vec::new(),
-            ObsSink::Scratch(Vec::new()),
+            ObsSink::Direct(&mut log),
         );
         assert_eq!(ctx.id(), ProcessId(2));
         assert_eq!(ctx.now(), Time(7));
@@ -201,10 +195,8 @@ mod tests {
         ctx.observe(41);
         assert_eq!(ctx.sends, vec![(ProcessId(0), "hi")]);
         assert_eq!(ctx.timers, vec![(1, 9)]);
-        match ctx.observations {
-            ObsSink::Scratch(v) => assert_eq!(v, vec![41]),
-            _ => panic!("this context buffers in scratch"),
-        }
+        drop(ctx);
+        assert_eq!(log.iter().map(|o| o.obs).collect::<Vec<_>>(), vec![41]);
     }
 
     #[test]
