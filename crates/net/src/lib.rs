@@ -12,12 +12,13 @@
 //! * a dead connection **crashes** the bound process — the daemon treats
 //!   a vanished client exactly like a crashed philosopher, so its
 //!   neighbors keep eating (wait-freedom under real packet loss);
-//! * a reconnect **recovers** it — presenting the session credentials
-//!   rides the journal fast-resume path when stable storage has a valid
-//!   snapshot, and degrades to the blank rejoin handshake otherwise,
-//!   with the taken path reported honestly in the `Welcome` frame;
-//! * overload is **shed, not queued**: admissions past the session cap
-//!   get a clean `Busy` with a retry hint, slow readers are disconnected
+//! * a reconnect **recovers** it — a `Bind` presenting the process's
+//!   session credentials rides the journal fast-resume path when stable
+//!   storage has a valid snapshot, and degrades to the blank rejoin
+//!   handshake otherwise, with the taken path reported honestly in the
+//!   `Bound` frame;
+//! * overload is **shed, not queued**: binds past the session cap get a
+//!   busy `BindReject` with a retry hint, slow readers are disconnected
 //!   when their bounded send queue fills, and silent connections are
 //!   culled by a strike-gated heartbeat (suspicion, then conviction —
 //!   the ◇P₁ idiom applied to sockets).
@@ -27,9 +28,9 @@
 //! thread-per-connection. A handful of reactor threads own slabs of
 //! nonblocking connections, one event-pump thread bridges the dining
 //! runtime's tap into the sessions, and blocking recovery waits run on
-//! short-lived admission workers. One connection can multiplex many
-//! dining processes (`Bind`/`Unbind` — the gateway shape, see
-//! [`MuxClient`]), and the server can front either the full threaded
+//! short-lived admission workers. Every binding is one `Bind`, and one
+//! connection can carry many of them (the gateway shape, see
+//! [`MuxClient`]); the server can front either the full threaded
 //! runtime or the bit-packed scale-tier kernel
 //! ([`server::BackendSpec`]). See `docs/NET.md` for the wire protocol
 //! and operational guidance, and experiments E20/E21 for the measured
@@ -38,7 +39,7 @@
 //! ## Quick tour
 //!
 //! ```no_run
-//! use ekbd_net::{ClientConfig, DaemonClient, DaemonServer, ServerAddr, ServerConfig};
+//! use ekbd_net::{ClientConfig, DaemonServer, MuxClient, MuxEvent, ServerAddr, ServerConfig};
 //! use ekbd_graph::topology;
 //! use std::time::Duration;
 //!
@@ -50,10 +51,13 @@
 //! .unwrap();
 //! let addr = server.local_addr().clone();
 //!
-//! let mut client = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-//! client.hungry().unwrap();
-//! client.wait_granted(Duration::from_secs(2)).unwrap();
-//! client.wait_released(Duration::from_secs(2)).unwrap();
+//! let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+//! client.bind(1).unwrap();
+//! client.hungry(1).unwrap();
+//! while !matches!(
+//!     client.next_event(Duration::from_secs(2)).unwrap(),
+//!     MuxEvent::Released { process: 1, .. }
+//! ) {}
 //! client.bye();
 //!
 //! let run = server.shutdown();
@@ -71,7 +75,7 @@ pub mod loadgen;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError, DaemonClient, MuxClient, MuxEvent};
+pub use client::{ClientConfig, ClientError, MuxClient, MuxEvent};
 pub use conn::ServerAddr;
 pub use loadgen::{kill_set, run_load, LoadPlan, LoadReport, Readmission};
 pub use server::{BackendSpec, DaemonServer, ServerConfig, ServerRun, ServerStats};

@@ -1,16 +1,16 @@
 //! Load generator: a fleet of daemon clients driving hungry/eat churn
 //! against a server, with a scripted connection-kill fault plan.
 //!
-//! Each client binds its own dining process — or, with
-//! [`LoadPlan::multiplex`] > 1, a *block* of processes over one
-//! [`MuxClient`] connection — and runs a fixed number of hungry →
-//! granted → released sessions per process. A deterministic subset of
-//! the fleet is killed mid-run (socket hard-close, no `Bye`) and must
-//! reconnect through the session-resume handshake; the report records
-//! the grant latencies, every readmission (path and wall time), and the
-//! shedding the fleet absorbed.
+//! Each client is one [`MuxClient`] connection binding a *block* of
+//! [`LoadPlan::multiplex`] dining processes (a block of one by default),
+//! and runs a fixed number of hungry → granted → released sessions per
+//! process. A deterministic subset of the fleet is killed mid-run (socket
+//! hard-close, no `Bye`) and must readmit every process of its block
+//! under that process's own credentials; the report records the grant
+//! latencies, every readmission (path and wall time), and the shedding
+//! the fleet absorbed.
 
-use crate::client::{ClientConfig, ClientError, DaemonClient, MuxClient, MuxEvent};
+use crate::client::{ClientConfig, ClientError, MuxClient, MuxEvent};
 use crate::conn::ServerAddr;
 use crate::wire::AdmitPath;
 use std::time::{Duration, Instant};
@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 /// What the fleet should do.
 #[derive(Clone, Debug)]
 pub struct LoadPlan {
-    /// Fleet size; client `i` binds dining process `i`, so the served
-    /// graph must have at least this many processes.
+    /// Fleet size, in connections; the served graph must have at least
+    /// `clients × multiplex` processes.
     pub clients: usize,
     /// Hungry → granted → released cycles per client.
     pub sessions_per_client: usize,
@@ -36,10 +36,9 @@ pub struct LoadPlan {
     /// `Hungry` on expiry (a request can be lost to a crash) up to three
     /// times before recording an error.
     pub grant_timeout_ms: u64,
-    /// Dining processes per connection. At 1 (the default) every client
-    /// is a [`DaemonClient`] bound to process `i`; above 1, client `i`
-    /// is a [`MuxClient`] fronting the process block
-    /// `[i·multiplex, (i+1)·multiplex)` over a single socket.
+    /// Dining processes per connection: client `i` fronts the process
+    /// block `[i·multiplex, (i+1)·multiplex)` over a single socket (at 1,
+    /// the default, client `i` binds process `i` alone).
     pub multiplex: usize,
 }
 
@@ -63,7 +62,7 @@ impl Default for LoadPlan {
 pub struct Readmission {
     /// The dining process the client is bound to.
     pub process: u32,
-    /// The admission path the server reported in the `Welcome`.
+    /// The admission path the server reported in the `Bound`.
     pub path: AdmitPath,
     /// Wall time from the kill to being readmitted, in milliseconds.
     pub ms: u64,
@@ -81,7 +80,7 @@ pub struct LoadReport {
     pub killed: usize,
     /// Killed clients that got readmitted.
     pub reconnected: usize,
-    /// `Busy` sheds absorbed across the fleet's retry loops.
+    /// Busy sheds absorbed across the fleet's retry loops.
     pub busy_retries: u64,
     /// Cycles completed across the fleet.
     pub completed_sessions: usize,
@@ -128,13 +127,7 @@ pub fn run_load(addr: &ServerAddr, plan: &LoadPlan) -> LoadReport {
         handles.push(
             std::thread::Builder::new()
                 .name(format!("ekbd-loadgen-{i}"))
-                .spawn(move || {
-                    if plan.multiplex.max(1) > 1 {
-                        run_mux_client(&addr, &plan, i, kill_me)
-                    } else {
-                        run_client(&addr, &plan, i as u32, kill_me)
-                    }
-                })
+                .spawn(move || run_mux_client(&addr, &plan, i, kill_me))
                 .expect("spawn loadgen client thread"),
         );
     }
@@ -167,62 +160,6 @@ pub fn run_load(addr: &ServerAddr, plan: &LoadPlan) -> LoadReport {
     report
 }
 
-fn run_client(addr: &ServerAddr, plan: &LoadPlan, process: u32, kill_me: bool) -> ClientOutcome {
-    let mut outcome = ClientOutcome::default();
-    let cfg = ClientConfig {
-        seed: plan.seed ^ (u64::from(process).wrapping_mul(0x9E37_79B9)),
-        ..plan.client.clone()
-    };
-    let mut client = match DaemonClient::connect(addr, process, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            outcome.error = Some(format!("p{process}: connect failed: {e}"));
-            return outcome;
-        }
-    };
-    // Mid-run kill point: after half the sessions (at least one, so the
-    // session has observable pre-kill history to resume).
-    let kill_at = kill_me.then(|| (plan.sessions_per_client / 2).max(1));
-    for s in 0..plan.sessions_per_client {
-        if kill_at == Some(s) {
-            client.kill();
-            outcome.killed = true;
-            let t0 = Instant::now();
-            match client.reconnect() {
-                Ok(path) => {
-                    outcome.readmissions.push(Readmission {
-                        process,
-                        path,
-                        ms: t0.elapsed().as_millis() as u64,
-                    });
-                }
-                Err(e) => {
-                    outcome.error = Some(format!("p{process}: reconnect failed: {e}"));
-                    outcome.busy_retries += client.busy_retries;
-                    return outcome;
-                }
-            }
-        }
-        match run_session(&mut client, plan) {
-            Ok(latency_ms) => {
-                outcome.latencies_ms.push(latency_ms);
-                outcome.completed += 1;
-            }
-            Err(e) => {
-                outcome.error = Some(format!("p{process}: session {s} failed: {e}"));
-                outcome.busy_retries += client.busy_retries;
-                return outcome;
-            }
-        }
-        if plan.think_ms > 0 {
-            std::thread::sleep(Duration::from_millis(plan.think_ms));
-        }
-    }
-    outcome.busy_retries += client.busy_retries;
-    client.bye();
-    outcome
-}
-
 /// Per-process cycle state inside a multiplexed client.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum MuxState {
@@ -235,8 +172,8 @@ enum MuxState {
 /// processes: all cycles interleave over the single socket, demuxed by
 /// the process tag on every event frame. The kill point hard-closes the
 /// socket once half the block's cycles are done, which crashes *every*
-/// process bound to it; one `reconnect` resumes the primary and re-binds
-/// the block, and each process's readmission path is recorded.
+/// process bound to it; one `reconnect` readmits the whole block, each
+/// process under its own credentials, and records each readmission path.
 fn run_mux_client(
     addr: &ServerAddr,
     plan: &LoadPlan,
@@ -259,7 +196,10 @@ fn run_mux_client(
     };
     for j in 1..k {
         if let Err(e) = client.bind(base + j as u32) {
-            outcome.error = Some(format!("mux{client_index}: bind p{} failed: {e}", base + j as u32));
+            outcome.error = Some(format!(
+                "mux{client_index}: bind p{} failed: {e}",
+                base + j as u32
+            ));
             outcome.busy_retries += client.busy_retries;
             return outcome;
         }
@@ -320,8 +260,10 @@ fn run_mux_client(
         for (j, s) in slots.iter_mut().enumerate() {
             if s.state == MuxState::Thinking && s.remaining > 0 && now >= s.ready_at {
                 if let Err(e) = client.hungry(base + j as u32) {
-                    outcome.error =
-                        Some(format!("mux{client_index}: hungry p{} failed: {e}", base + j as u32));
+                    outcome.error = Some(format!(
+                        "mux{client_index}: hungry p{} failed: {e}",
+                        base + j as u32
+                    ));
                     outcome.busy_retries += client.busy_retries;
                     return outcome;
                 }
@@ -349,7 +291,9 @@ fn run_mux_client(
                         s.remaining -= 1;
                         s.resends = 0;
                         s.ready_at = Instant::now() + Duration::from_millis(plan.think_ms);
-                        outcome.latencies_ms.push(s.sent_at.elapsed().as_millis() as u64);
+                        outcome
+                            .latencies_ms
+                            .push(s.sent_at.elapsed().as_millis() as u64);
                         outcome.completed += 1;
                     }
                 }
@@ -360,7 +304,8 @@ fn run_mux_client(
                 // legitimately lost and re-requesting is idempotent.
                 let now = Instant::now();
                 for (j, s) in slots.iter_mut().enumerate() {
-                    if s.state == MuxState::Hungry && now.duration_since(s.sent_at) > grant_timeout {
+                    if s.state == MuxState::Hungry && now.duration_since(s.sent_at) > grant_timeout
+                    {
                         if s.resends >= 3 {
                             outcome.error = Some(format!(
                                 "mux{client_index}: p{} starved past {} resends",
@@ -393,28 +338,6 @@ fn run_mux_client(
     outcome.busy_retries += client.busy_retries;
     client.bye();
     outcome
-}
-
-/// One hungry → granted → released cycle. The grant wait re-sends
-/// `Hungry` on timeout — a request sent into a just-crashed incarnation
-/// is legitimately lost, and re-requesting is idempotent (the daemon
-/// ignores `Hungry` unless the process is thinking).
-fn run_session(client: &mut DaemonClient, plan: &LoadPlan) -> Result<u64, ClientError> {
-    let t0 = Instant::now();
-    let grant_timeout = Duration::from_millis(plan.grant_timeout_ms.max(1));
-    let mut last = ClientError::Timeout;
-    for _ in 0..3 {
-        client.hungry()?;
-        match client.wait_granted(grant_timeout) {
-            Ok(_at) => {
-                client.wait_released(grant_timeout)?;
-                return Ok(t0.elapsed().as_millis() as u64);
-            }
-            Err(ClientError::Timeout) => last = ClientError::Timeout,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! EKN1 — the length-framed, CRC-covered wire codec.
+//! EKN2 — the length-framed, CRC-covered wire codec.
 //!
 //! Grown from the EKJ2 journal framing (same CRC-32, same
 //! fixed-little-endian discipline, same refuse-don't-guess decoding): every
@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic "EKN1"
+//! 0       4     magic "EKN2"
 //! 4       2     body length (u16 LE) — type byte + payload
 //! 6       1     frame type
 //! 7       L-1   payload (fixed layout per type)
@@ -23,18 +23,19 @@
 use ekbd_journal::codec::crc32;
 use std::fmt;
 
-/// Frame magic: EKBD net, format 1.
-pub const MAGIC: [u8; 4] = *b"EKN1";
+/// Frame magic: EKBD net, format 2 (one admission path: every binding is
+/// a credentialed [`Frame::Bind`]).
+pub const MAGIC: [u8; 4] = *b"EKN2";
 
 /// Hard cap on the body (type + payload) of any frame. The largest
-/// legitimate body today is [`Frame::Resume`] at 21 bytes; the cap
-/// bounds what a hostile length field can make the server buffer.
+/// legitimate body today is [`Frame::Bound`] at 22 bytes; the cap bounds
+/// what a hostile length field can make the server buffer.
 pub const MAX_BODY: usize = 64;
 
 /// Frame-level overhead: magic + length + trailing CRC.
 pub const OVERHEAD: usize = 4 + 2 + 4;
 
-/// How a session admission was satisfied, carried in [`Frame::Welcome`].
+/// How a binding was satisfied, carried in [`Frame::Bound`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmitPath {
     /// First binding of this process: no prior session existed.
@@ -75,57 +76,20 @@ impl fmt::Display for AdmitPath {
     }
 }
 
-/// Reject code: the session/token pair in a `Resume` is unknown or stale.
+/// Reject code: the session/token pair in a `Bind` is unknown or stale.
 pub const REJECT_UNKNOWN_SESSION: u8 = 1;
 /// Reject code: the process id is outside the served graph.
 pub const REJECT_BAD_PROCESS: u8 = 2;
 /// Reject code: the process is already bound to a live connection.
 pub const REJECT_ALREADY_BOUND: u8 = 3;
-/// Reject code (in [`Frame::BindReject`] only): the admission cap is
-/// reached — the connection-level equivalent is a [`Frame::Busy`].
+/// Reject code: the admission cap is reached. The [`Frame::BindReject`]
+/// carries the server's retry hint.
 pub const REJECT_BUSY: u8 = 4;
 
 /// One protocol frame. Timestamps are milliseconds on the *server's*
 /// runtime epoch, so client-side subtraction yields server-side spans.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// Client → server: open a fresh session binding `process`.
-    Hello {
-        /// The dining process to bind.
-        process: u32,
-    },
-    /// Client → server: reconnect to an existing session after a dead
-    /// connection. The server revives the crashed process and reports
-    /// which recovery path it took.
-    Resume {
-        /// The dining process of the session.
-        process: u32,
-        /// The session id issued by the original `Welcome`.
-        session: u64,
-        /// The capability token issued by the original `Welcome`.
-        token: u64,
-    },
-    /// Server → client: admitted. Carries the credentials to `Resume`
-    /// with later, plus how this admission was satisfied.
-    Welcome {
-        /// Session id (stable across reconnects of the same session).
-        session: u64,
-        /// Capability token a later `Resume` must echo.
-        token: u64,
-        /// How the admission was satisfied.
-        path: AdmitPath,
-    },
-    /// Server → client: overload shed — the accept cap is reached. Try
-    /// again after the hinted delay; nothing was allocated server-side.
-    Busy {
-        /// Server's backoff hint, in milliseconds.
-        retry_after_ms: u32,
-    },
-    /// Server → client: terminal refusal (see the `REJECT_*` codes).
-    Reject {
-        /// Machine-readable refusal code.
-        code: u8,
-    },
     /// Client → server: the named bound process wants to eat. The process
     /// tag lets one multiplexed connection speak for several sessions.
     Hungry {
@@ -158,36 +122,49 @@ pub enum Frame {
     },
     /// Graceful goodbye: unbind without crashing the process.
     Bye,
-    /// Client → server: bind an *additional* dining process onto this
-    /// already-admitted connection (gateway/proxy multiplexing). Answered
-    /// with [`Frame::Bound`] or [`Frame::BindReject`].
+    /// Client → server: bind a dining process onto this connection — the
+    /// one admission path. Zero credentials ask for a fresh session; the
+    /// credentials of an earlier [`Frame::Bound`] readmit that session
+    /// (after a dead connection the server revives the crashed process and
+    /// reports which recovery path it took). Answered with
+    /// [`Frame::Bound`] or [`Frame::BindReject`].
     Bind {
-        /// The dining process to bind as a secondary session.
+        /// The dining process to bind.
         process: u32,
+        /// The session id from an earlier `Bound`, or 0 for a fresh bind.
+        session: u64,
+        /// The capability token from an earlier `Bound`, or 0.
+        token: u64,
     },
-    /// Client → server: gracefully release a secondary binding made with
-    /// [`Frame::Bind`] (the primary unbinds with [`Frame::Bye`]).
+    /// Client → server: gracefully release a binding made with
+    /// [`Frame::Bind`] (or all of them at once with [`Frame::Bye`]).
     /// Answered with [`Frame::Unbound`].
     Unbind {
-        /// The secondary process to unbind.
+        /// The process to unbind.
         process: u32,
     },
-    /// Server → client: the [`Frame::Bind`] succeeded.
+    /// Server → client: the [`Frame::Bind`] succeeded. Carries the
+    /// credentials a later `Bind` presents to readmit this session.
     Bound {
         /// The process now bound.
         process: u32,
-        /// How the binding was satisfied (a crashed detached slot is
-        /// revived exactly like a `Hello` on one).
+        /// How the binding was satisfied.
         path: AdmitPath,
+        /// Session id (stable across readmissions of the same session).
+        session: u64,
+        /// Capability token a later `Bind` must echo.
+        token: u64,
     },
-    /// Server → client: the [`Frame::Bind`] was refused (`REJECT_*` code,
-    /// including [`REJECT_BUSY`] at the admission cap). The connection
-    /// and its other bindings stay up.
+    /// Server → client: the [`Frame::Bind`] was refused (`REJECT_*` code).
+    /// The connection and its other bindings stay up.
     BindReject {
         /// The process whose bind was refused.
         process: u32,
         /// Machine-readable refusal code.
         code: u8,
+        /// Server's backoff hint in milliseconds for [`REJECT_BUSY`]; 0
+        /// for every other code.
+        retry_after_ms: u32,
     },
     /// Server → client: the [`Frame::Unbind`] completed; the process was
     /// detached gracefully (not crashed).
@@ -197,22 +174,17 @@ pub enum Frame {
     },
 }
 
-const T_HELLO: u8 = 1;
-const T_RESUME: u8 = 2;
-const T_WELCOME: u8 = 3;
-const T_BUSY: u8 = 4;
-const T_REJECT: u8 = 5;
-const T_HUNGRY: u8 = 6;
-const T_GRANTED: u8 = 7;
-const T_RELEASED: u8 = 8;
-const T_PING: u8 = 9;
-const T_PONG: u8 = 10;
-const T_BYE: u8 = 11;
-const T_BIND: u8 = 12;
-const T_UNBIND: u8 = 13;
-const T_BOUND: u8 = 14;
-const T_BIND_REJECT: u8 = 15;
-const T_UNBOUND: u8 = 16;
+const T_HUNGRY: u8 = 1;
+const T_GRANTED: u8 = 2;
+const T_RELEASED: u8 = 3;
+const T_PING: u8 = 4;
+const T_PONG: u8 = 5;
+const T_BYE: u8 = 6;
+const T_BIND: u8 = 7;
+const T_UNBIND: u8 = 8;
+const T_BOUND: u8 = 9;
+const T_BIND_REJECT: u8 = 10;
+const T_UNBOUND: u8 = 11;
 
 /// Why a byte sequence failed to decode as a frame. Mirrors the journal
 /// codec's refuse-don't-guess posture: any of these closes the session.
@@ -261,42 +233,10 @@ fn get_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// Encodes `frame` as one EKN1 wire frame.
+/// Encodes `frame` as one EKN2 wire frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut body = Vec::with_capacity(24);
     match frame {
-        Frame::Hello { process } => {
-            body.push(T_HELLO);
-            put_u32(&mut body, *process);
-        }
-        Frame::Resume {
-            process,
-            session,
-            token,
-        } => {
-            body.push(T_RESUME);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
-        }
-        Frame::Welcome {
-            session,
-            token,
-            path,
-        } => {
-            body.push(T_WELCOME);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
-            body.push(path.to_byte());
-        }
-        Frame::Busy { retry_after_ms } => {
-            body.push(T_BUSY);
-            put_u32(&mut body, *retry_after_ms);
-        }
-        Frame::Reject { code } => {
-            body.push(T_REJECT);
-            body.push(*code);
-        }
         Frame::Hungry { process } => {
             body.push(T_HUNGRY);
             put_u32(&mut body, *process);
@@ -320,23 +260,41 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u32(&mut body, *nonce);
         }
         Frame::Bye => body.push(T_BYE),
-        Frame::Bind { process } => {
+        Frame::Bind {
+            process,
+            session,
+            token,
+        } => {
             body.push(T_BIND);
             put_u32(&mut body, *process);
+            put_u64(&mut body, *session);
+            put_u64(&mut body, *token);
         }
         Frame::Unbind { process } => {
             body.push(T_UNBIND);
             put_u32(&mut body, *process);
         }
-        Frame::Bound { process, path } => {
+        Frame::Bound {
+            process,
+            path,
+            session,
+            token,
+        } => {
             body.push(T_BOUND);
             put_u32(&mut body, *process);
+            put_u64(&mut body, *session);
+            put_u64(&mut body, *token);
             body.push(path.to_byte());
         }
-        Frame::BindReject { process, code } => {
+        Frame::BindReject {
+            process,
+            code,
+            retry_after_ms,
+        } => {
             body.push(T_BIND_REJECT);
             put_u32(&mut body, *process);
             body.push(*code);
+            put_u32(&mut body, *retry_after_ms);
         }
         Frame::Unbound { process } => {
             body.push(T_UNBOUND);
@@ -364,39 +322,6 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
         }
     };
     match t {
-        T_HELLO => {
-            expect(4)?;
-            Ok(Frame::Hello {
-                process: get_u32(p),
-            })
-        }
-        T_RESUME => {
-            expect(20)?;
-            Ok(Frame::Resume {
-                process: get_u32(p),
-                session: get_u64(&p[4..]),
-                token: get_u64(&p[12..]),
-            })
-        }
-        T_WELCOME => {
-            expect(17)?;
-            let path = AdmitPath::from_byte(p[16]).ok_or(WireError::BadPayload(t))?;
-            Ok(Frame::Welcome {
-                session: get_u64(p),
-                token: get_u64(&p[8..]),
-                path,
-            })
-        }
-        T_BUSY => {
-            expect(4)?;
-            Ok(Frame::Busy {
-                retry_after_ms: get_u32(p),
-            })
-        }
-        T_REJECT => {
-            expect(1)?;
-            Ok(Frame::Reject { code: p[0] })
-        }
         T_HUNGRY => {
             expect(4)?;
             Ok(Frame::Hungry {
@@ -430,9 +355,11 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
             Ok(Frame::Bye)
         }
         T_BIND => {
-            expect(4)?;
+            expect(20)?;
             Ok(Frame::Bind {
                 process: get_u32(p),
+                session: get_u64(&p[4..]),
+                token: get_u64(&p[12..]),
             })
         }
         T_UNBIND => {
@@ -442,18 +369,21 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
             })
         }
         T_BOUND => {
-            expect(5)?;
-            let path = AdmitPath::from_byte(p[4]).ok_or(WireError::BadPayload(t))?;
+            expect(21)?;
+            let path = AdmitPath::from_byte(p[20]).ok_or(WireError::BadPayload(t))?;
             Ok(Frame::Bound {
                 process: get_u32(p),
                 path,
+                session: get_u64(&p[4..]),
+                token: get_u64(&p[12..]),
             })
         }
         T_BIND_REJECT => {
-            expect(5)?;
+            expect(9)?;
             Ok(Frame::BindReject {
                 process: get_u32(p),
                 code: p[4],
+                retry_after_ms: get_u32(&p[5..]),
             })
         }
         T_UNBOUND => {
@@ -505,28 +435,6 @@ mod tests {
 
     fn samples() -> Vec<Frame> {
         vec![
-            Frame::Hello { process: 7 },
-            Frame::Resume {
-                process: 3,
-                session: 0x1122_3344_5566_7788,
-                token: u64::MAX,
-            },
-            Frame::Welcome {
-                session: 42,
-                token: 0xdead_beef,
-                path: AdmitPath::Resumed,
-            },
-            Frame::Welcome {
-                session: 0,
-                token: 0,
-                path: AdmitPath::Fresh,
-            },
-            Frame::Busy {
-                retry_after_ms: 250,
-            },
-            Frame::Reject {
-                code: REJECT_UNKNOWN_SESSION,
-            },
             Frame::Hungry { process: 2 },
             Frame::Granted {
                 process: 2,
@@ -539,15 +447,38 @@ mod tests {
             Frame::Ping { nonce: 9 },
             Frame::Pong { nonce: 9 },
             Frame::Bye,
-            Frame::Bind { process: 17 },
+            Frame::Bind {
+                process: 17,
+                session: 0,
+                token: 0,
+            },
+            Frame::Bind {
+                process: 3,
+                session: 0x1122_3344_5566_7788,
+                token: u64::MAX,
+            },
             Frame::Unbind { process: 17 },
             Frame::Bound {
                 process: 17,
                 path: AdmitPath::Rejoined,
+                session: 42,
+                token: 0xdead_beef,
+            },
+            Frame::Bound {
+                process: 0,
+                path: AdmitPath::Fresh,
+                session: 1,
+                token: 0,
             },
             Frame::BindReject {
                 process: 17,
                 code: REJECT_BUSY,
+                retry_after_ms: 250,
+            },
+            Frame::BindReject {
+                process: u32::MAX,
+                code: REJECT_UNKNOWN_SESSION,
+                retry_after_ms: 0,
             },
             Frame::Unbound { process: 17 },
         ]
@@ -653,16 +584,17 @@ mod tests {
 
     #[test]
     fn refixed_bad_admit_path_is_rejected() {
-        let mut bytes = encode_frame(&Frame::Welcome {
-            session: 1,
-            token: 2,
+        let mut bytes = encode_frame(&Frame::Bound {
+            process: 1,
             path: AdmitPath::Fresh,
+            session: 2,
+            token: 3,
         });
         let n = bytes.len();
         bytes[n - 5] = 9; // the path byte, just before the CRC
         let crc = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode_frame(&bytes), Err(WireError::BadPayload(3)));
+        assert_eq!(decode_frame(&bytes), Err(WireError::BadPayload(T_BOUND)));
     }
 
     #[test]

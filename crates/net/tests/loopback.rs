@@ -2,13 +2,18 @@
 //! port (and a Unix socket), real clients, real kills.
 
 use ekbd_graph::topology;
+use ekbd_net::wire::{
+    decode_frame, encode_frame, MAGIC, REJECT_ALREADY_BOUND, REJECT_BAD_PROCESS,
+    REJECT_UNKNOWN_SESSION,
+};
 use ekbd_net::{
-    run_load, AdmitPath, ClientConfig, ClientError, DaemonClient, DaemonServer, LoadPlan,
-    MuxClient, MuxEvent, ServerAddr, ServerConfig,
+    run_load, AdmitPath, ClientConfig, ClientError, DaemonServer, Frame, LoadPlan, MuxClient,
+    MuxEvent, ServerAddr, ServerConfig,
 };
 use ekbd_runtime::RuntimeConfig;
-use std::io::Write;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn ephemeral_tcp() -> ServerAddr {
     ServerAddr::Tcp("127.0.0.1:0".into())
@@ -18,20 +23,37 @@ fn wait_timeout() -> Duration {
     Duration::from_secs(5)
 }
 
+/// One hungry → granted → released cycle of `process`; returns the
+/// server-side grant and release times.
+fn cycle(client: &mut MuxClient, process: u32) -> (u64, u64) {
+    client.hungry(process).unwrap();
+    let mut granted = None;
+    loop {
+        match client.next_event(wait_timeout()).unwrap() {
+            MuxEvent::Granted { process: p, at_ms } if p == process => granted = Some(at_ms),
+            MuxEvent::Released { process: p, at_ms } if p == process => {
+                if let Some(g) = granted {
+                    return (g, at_ms);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn smoke_session_eats_over_tcp() {
     let server =
         DaemonServer::start(topology::ring(5), &ephemeral_tcp(), ServerConfig::default()).unwrap();
     let addr = server.local_addr().clone();
-    let mut client = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-    assert_eq!(client.admit_path(), AdmitPath::Fresh);
-    client.hungry().unwrap();
-    let granted_at = client.wait_granted(wait_timeout()).unwrap();
-    let released_at = client.wait_released(wait_timeout()).unwrap();
+    let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    assert_eq!(client.processes(), vec![0]);
+    let (granted_at, released_at) = cycle(&mut client, 0);
     assert!(released_at >= granted_at, "release follows grant");
     client.bye();
     let run = server.shutdown();
-    assert_eq!(run.stats.fresh, 1);
+    assert_eq!(run.stats.fresh, 1, "the first bind took the fresh path");
+    assert_eq!(run.stats.resumed + run.stats.rejoined, 0);
     assert!(
         run.events
             .iter()
@@ -51,10 +73,8 @@ fn smoke_session_eats_over_uds() {
     )
     .unwrap();
     let addr = server.local_addr().clone();
-    let mut client = DaemonClient::connect(&addr, 1, ClientConfig::default()).unwrap();
-    client.hungry().unwrap();
-    client.wait_granted(wait_timeout()).unwrap();
-    client.wait_released(wait_timeout()).unwrap();
+    let mut client = MuxClient::connect(&addr, 1, ClientConfig::default()).unwrap();
+    cycle(&mut client, 1);
     client.bye();
     let run = server.shutdown();
     assert_eq!(run.stats.fresh, 1);
@@ -75,19 +95,21 @@ fn killed_client_resumes_its_session() {
     };
     let server = DaemonServer::start(topology::ring(3), &ephemeral_tcp(), cfg).unwrap();
     let addr = server.local_addr().clone();
-    let mut client = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-    client.hungry().unwrap();
-    client.wait_granted(wait_timeout()).unwrap();
-    client.wait_released(wait_timeout()).unwrap();
+    let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    cycle(&mut client, 0);
 
     client.kill();
-    let path = client.reconnect().expect("killed client reconnects");
-    assert_ne!(path, AdmitPath::Fresh, "credentials revive the session");
+    let paths = client.reconnect().expect("killed client reconnects");
+    assert_eq!(paths.len(), 1);
+    assert_eq!(paths[0].0, 0);
+    assert_ne!(
+        paths[0].1,
+        AdmitPath::Fresh,
+        "credentials revive the session"
+    );
 
     // The revived session still gets fed.
-    client.hungry().unwrap();
-    client.wait_granted(wait_timeout()).unwrap();
-    client.wait_released(wait_timeout()).unwrap();
+    cycle(&mut client, 0);
     client.bye();
 
     let run = server.shutdown();
@@ -109,9 +131,9 @@ fn admission_cap_sheds_with_busy() {
     };
     let server = DaemonServer::start(topology::ring(5), &ephemeral_tcp(), cfg).unwrap();
     let addr = server.local_addr().clone();
-    let a = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-    let b = DaemonClient::connect(&addr, 1, ClientConfig::default()).unwrap();
-    let over = DaemonClient::connect(
+    let a = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    let b = MuxClient::connect(&addr, 1, ClientConfig::default()).unwrap();
+    let over = MuxClient::connect(
         &addr,
         2,
         ClientConfig {
@@ -139,21 +161,15 @@ fn rejects_bad_process_and_double_binding() {
     let server =
         DaemonServer::start(topology::ring(3), &ephemeral_tcp(), ServerConfig::default()).unwrap();
     let addr = server.local_addr().clone();
-    let out_of_range = DaemonClient::connect(&addr, 99, ClientConfig::default());
+    let out_of_range = MuxClient::connect(&addr, 99, ClientConfig::default());
     assert!(
-        matches!(
-            out_of_range,
-            Err(ClientError::Rejected(ekbd_net::wire::REJECT_BAD_PROCESS))
-        ),
+        matches!(out_of_range, Err(ClientError::Rejected(REJECT_BAD_PROCESS))),
         "process outside the graph is rejected: {out_of_range:?}",
     );
-    let first = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-    let second = DaemonClient::connect(&addr, 0, ClientConfig::default());
+    let first = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    let second = MuxClient::connect(&addr, 0, ClientConfig::default());
     assert!(
-        matches!(
-            second,
-            Err(ClientError::Rejected(ekbd_net::wire::REJECT_ALREADY_BOUND))
-        ),
+        matches!(second, Err(ClientError::Rejected(REJECT_ALREADY_BOUND))),
         "a live binding refuses a second connection: {second:?}",
     );
     first.bye();
@@ -168,25 +184,22 @@ fn malformed_frames_close_the_session_never_the_server() {
         unreachable!("tcp server")
     };
 
-    // Garbage at handshake time.
-    let mut garbage = std::net::TcpStream::connect(&raw_addr).unwrap();
+    // Garbage before any binding.
+    let mut garbage = TcpStream::connect(&raw_addr).unwrap();
     garbage.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
     // Valid magic, hostile length field.
-    let mut hostile = std::net::TcpStream::connect(&raw_addr).unwrap();
-    let mut frame = b"EKN1".to_vec();
+    let mut hostile = TcpStream::connect(&raw_addr).unwrap();
+    let mut frame = MAGIC.to_vec();
     frame.extend_from_slice(&u16::MAX.to_le_bytes());
     hostile.write_all(&frame).unwrap();
     // A correct session right afterwards still works: the server survived.
     let addr = server.local_addr().clone();
-    let mut client = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-    client.hungry().unwrap();
-    client.wait_granted(wait_timeout()).unwrap();
-    client.wait_released(wait_timeout()).unwrap();
+    let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    cycle(&mut client, 0);
 
     // Mid-session garbage kills only that session.
-    let mut alive_then_garbage = DaemonClient::connect(&addr, 1, ClientConfig::default()).unwrap();
-    alive_then_garbage.hungry().unwrap();
-    alive_then_garbage.wait_granted(wait_timeout()).unwrap();
+    let mut alive_then_garbage = MuxClient::connect(&addr, 1, ClientConfig::default()).unwrap();
+    cycle(&mut alive_then_garbage, 1);
     drop(garbage);
     drop(hostile);
 
@@ -229,7 +242,7 @@ fn mux_client_drives_many_processes_over_one_socket() {
     assert!(mux.hungry(3).is_err(), "unbound process refuses requests");
     mux.bye();
     let run = server.shutdown();
-    assert_eq!(run.stats.fresh, 4, "one Hello + three Binds: {:?}", run.stats);
+    assert_eq!(run.stats.fresh, 4, "four fresh Binds: {:?}", run.stats);
     assert_eq!(run.restarts.len(), 0, "graceful teardown crashed nobody");
 }
 
@@ -258,7 +271,7 @@ fn mux_kill_crashes_block_and_reconnect_rebinds_it() {
 
     mux.kill();
     let paths = mux.reconnect().expect("mux reconnect");
-    assert_eq!(paths.len(), 3, "primary and both secondaries readmitted");
+    assert_eq!(paths.len(), 3, "the whole block readmitted");
     for (p, path) in &paths {
         assert_ne!(
             *path,
@@ -308,7 +321,10 @@ fn loadgen_multiplexed_fleet_completes() {
         report.completed_sessions, report.planned_sessions,
         "every multiplexed cycle completed"
     );
-    assert_eq!(run.stats.fresh, 8, "two connections admitted eight processes");
+    assert_eq!(
+        run.stats.fresh, 8,
+        "two connections admitted eight processes"
+    );
 }
 
 #[test]
@@ -352,5 +368,162 @@ fn loadgen_fleet_with_kills_completes_and_readmits() {
         "server agrees on the readmission count: {:?}",
         run.stats
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A raw EKN2 connection for tests that must see the credentials on the
+/// wire, which [`MuxClient`] keeps to itself.
+struct RawConn {
+    stream: TcpStream,
+    acc: Vec<u8>,
+}
+
+impl RawConn {
+    fn dial(addr: &ServerAddr) -> RawConn {
+        let ServerAddr::Tcp(raw) = addr else {
+            unreachable!("tcp server")
+        };
+        let stream = TcpStream::connect(raw).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(25)))
+            .unwrap();
+        RawConn {
+            stream,
+            acc: Vec::new(),
+        }
+    }
+
+    /// Sends a `Bind` and returns the server's answer for `process`.
+    fn bind(&mut self, process: u32, session: u64, token: u64) -> Frame {
+        let bind = Frame::Bind {
+            process,
+            session,
+            token,
+        };
+        self.stream.write_all(&encode_frame(&bind)).unwrap();
+        let deadline = Instant::now() + wait_timeout();
+        let mut chunk = [0u8; 1024];
+        loop {
+            while let Some((frame, n)) = decode_frame(&self.acc).unwrap() {
+                self.acc.drain(..n);
+                match frame {
+                    Frame::Ping { nonce } => {
+                        let pong = encode_frame(&Frame::Pong { nonce });
+                        self.stream.write_all(&pong).unwrap();
+                    }
+                    Frame::Bound { process: p, .. } | Frame::BindReject { process: p, .. }
+                        if p == process =>
+                    {
+                        return frame
+                    }
+                    _ => {}
+                }
+            }
+            assert!(Instant::now() < deadline, "no answer to {bind:?}");
+            match self.stream.read(&mut chunk) {
+                Ok(0) => panic!("server closed the connection"),
+                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// Like [`bind`](Self::bind), but waits out `ALREADY_BOUND` while the
+    /// server has not yet noticed a killed connection.
+    fn rebind(&mut self, process: u32, session: u64, token: u64) -> Frame {
+        let deadline = Instant::now() + wait_timeout();
+        loop {
+            match self.bind(process, session, token) {
+                Frame::BindReject {
+                    code: REJECT_ALREADY_BOUND,
+                    ..
+                } if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+                answer => return answer,
+            }
+        }
+    }
+}
+
+#[test]
+fn reconnect_readmits_every_process_under_its_own_credentials() {
+    let dir = std::env::temp_dir().join(format!("ekbd-net-creds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ServerConfig {
+        runtime: RuntimeConfig {
+            journal_dir: Some(dir.clone()),
+            ..RuntimeConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = DaemonServer::start(topology::ring(6), &ephemeral_tcp(), cfg).unwrap();
+    let addr = server.local_addr().clone();
+
+    // Four processes bound on one socket, each issued its own session.
+    let mut first = RawConn::dial(&addr);
+    let mut creds = Vec::new();
+    for p in 0..4u32 {
+        match first.bind(p, 0, 0) {
+            Frame::Bound {
+                path: AdmitPath::Fresh,
+                session,
+                token,
+                ..
+            } => creds.push((session, token)),
+            other => panic!("p{p}: fresh bind answered {other:?}"),
+        }
+    }
+    let mut sessions: Vec<u64> = creds.iter().map(|&(s, _)| s).collect();
+    sessions.sort_unstable();
+    sessions.dedup();
+    assert_eq!(sessions.len(), 4, "one session per process: {creds:?}");
+
+    // Kill the socket: every process on it crashes.
+    first.stream.shutdown(std::net::Shutdown::Both).unwrap();
+    let mut second = RawConn::dial(&addr);
+    for p in 0..3u32 {
+        let (session, token) = creds[p as usize];
+        match second.rebind(p, session, token) {
+            Frame::Bound {
+                path,
+                session: s,
+                token: t,
+                ..
+            } => {
+                assert_ne!(path, AdmitPath::Fresh, "p{p} readmitted with history");
+                assert_eq!((s, t), (session, token), "p{p} kept its own session");
+            }
+            other => panic!("p{p}: readmission answered {other:?}"),
+        }
+    }
+
+    // p3 presents p2's token: a stale credential is refused, and the
+    // fresh bind it falls back to revives p3 under a new session.
+    let (p3_session, _) = creds[3];
+    let (_, p2_token) = creds[2];
+    match second.rebind(3, p3_session, p2_token) {
+        Frame::BindReject {
+            code: REJECT_UNKNOWN_SESSION,
+            retry_after_ms: 0,
+            ..
+        } => {}
+        other => panic!("stale token answered {other:?}"),
+    }
+    match second.bind(3, 0, 0) {
+        Frame::Bound { path, session, .. } => {
+            assert_ne!(path, AdmitPath::Fresh, "the crashed process was recovered");
+            assert_ne!(session, p3_session, "a fresh bind issues a new session");
+        }
+        other => panic!("fallback fresh bind answered {other:?}"),
+    }
+
+    drop(second);
+    let run = server.shutdown();
+    assert_eq!(
+        run.stats.resumed + run.stats.rejoined,
+        4,
+        "all four were readmissions: {:?}",
+        run.stats
+    );
+    assert_eq!(run.stats.fresh, 4, "only the first binds were fresh");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,69 +1,129 @@
-//! Property-based tests of the EKN1 wire codec: encode ∘ decode identity
+//! Property-based tests of the EKN2 wire codec: encode ∘ decode identity
 //! over arbitrary frames, plus exhaustive corruption sweeps — every
 //! truncation point and every single-bit flip of every generated frame
-//! must be *detected*, never decoded as a (different) frame.
+//! must be *detected*, never decoded as a (different) frame. The
+//! admission frames (`Bind`, `Bound`, `BindReject`), which carry the
+//! widest payloads, get a sweep of their own.
 
 use ekbd_net::wire::{decode_frame, encode_frame, AdmitPath, Frame};
 use proptest::prelude::*;
+
+fn admit_path(b: u8) -> AdmitPath {
+    match b {
+        0 => AdmitPath::Fresh,
+        1 => AdmitPath::Resumed,
+        _ => AdmitPath::Rejoined,
+    }
+}
+
+/// Strategy: an admission frame with full-width credentials.
+fn admission_frame() -> impl Strategy<Value = Frame> {
+    (
+        0u8..3,
+        0u32..u32::MAX,
+        0u64..u64::MAX,
+        0u64..u64::MAX,
+        0u8..8,
+    )
+        .prop_map(|(variant, small, wide_a, wide_b, byte)| match variant {
+            0 => Frame::Bind {
+                process: small,
+                session: wide_a,
+                token: wide_b,
+            },
+            1 => Frame::Bound {
+                process: small,
+                path: admit_path(byte),
+                session: wide_a,
+                token: wide_b,
+            },
+            _ => Frame::BindReject {
+                process: small,
+                code: byte,
+                retry_after_ms: wide_a as u32,
+            },
+        })
+}
 
 /// Strategy: an arbitrary protocol frame. The vendored proptest shim has
 /// no enum strategies, so the variant is drawn as a small integer and the
 /// fields from full-width ranges.
 fn frame() -> impl Strategy<Value = Frame> {
     (
-        0u8..16,
+        0u8..11,
         0u32..u32::MAX,
         0u64..u64::MAX,
         0u64..u64::MAX,
         0u8..3,
     )
-        .prop_map(|(variant, small, wide_a, wide_b, path)| {
-            let admit = match path {
-                0 => AdmitPath::Fresh,
-                1 => AdmitPath::Resumed,
-                _ => AdmitPath::Rejoined,
-            };
-            match variant {
-                0 => Frame::Hello { process: small },
-                1 => Frame::Resume {
-                    process: small,
-                    session: wide_a,
-                    token: wide_b,
-                },
-                2 => Frame::Welcome {
-                    session: wide_a,
-                    token: wide_b,
-                    path: admit,
-                },
-                3 => Frame::Busy {
-                    retry_after_ms: small,
-                },
-                4 => Frame::Reject { code: path },
-                5 => Frame::Hungry { process: small },
-                6 => Frame::Granted {
-                    process: small,
-                    at_ms: wide_a,
-                },
-                7 => Frame::Released {
-                    process: small,
-                    at_ms: wide_a,
-                },
-                8 => Frame::Ping { nonce: small },
-                9 => Frame::Pong { nonce: small },
-                10 => Frame::Bye,
-                11 => Frame::Bind { process: small },
-                12 => Frame::Unbind { process: small },
-                13 => Frame::Bound {
-                    process: small,
-                    path: admit,
-                },
-                14 => Frame::BindReject {
-                    process: small,
-                    code: path,
-                },
-                _ => Frame::Unbound { process: small },
-            }
+        .prop_map(|(variant, small, wide_a, wide_b, path)| match variant {
+            0 => Frame::Hungry { process: small },
+            1 => Frame::Granted {
+                process: small,
+                at_ms: wide_a,
+            },
+            2 => Frame::Released {
+                process: small,
+                at_ms: wide_a,
+            },
+            3 => Frame::Ping { nonce: small },
+            4 => Frame::Pong { nonce: small },
+            5 => Frame::Bye,
+            6 => Frame::Bind {
+                process: small,
+                session: wide_a,
+                token: wide_b,
+            },
+            7 => Frame::Unbind { process: small },
+            8 => Frame::Bound {
+                process: small,
+                path: admit_path(path),
+                session: wide_a,
+                token: wide_b,
+            },
+            9 => Frame::BindReject {
+                process: small,
+                code: path,
+                retry_after_ms: wide_b as u32,
+            },
+            _ => Frame::Unbound { process: small },
         })
+}
+
+/// Every proper prefix of `f`'s encoding is either "incomplete, read more"
+/// or an outright error — never a decoded frame.
+fn truncations_detected(f: &Frame) {
+    let bytes = encode_frame(f);
+    for cut in 0..bytes.len() {
+        let r = decode_frame(&bytes[..cut]);
+        prop_assert!(
+            !matches!(r, Ok(Some(_))),
+            "truncation to {} of {} bytes decoded a frame",
+            cut,
+            bytes.len()
+        );
+    }
+}
+
+/// Single-bit rot anywhere in `f`'s encoding is always detected: the CRC
+/// covers the header and body, so no flip may yield a frame. (A flip that
+/// enlarges the length field legitimately reads as incomplete — that too
+/// is detection, and more bytes only lead to a CRC error.)
+fn bit_flips_detected(f: &Frame) {
+    let bytes = encode_frame(f);
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut rotted = bytes.clone();
+            rotted[byte] ^= 1 << bit;
+            let r = decode_frame(&rotted);
+            prop_assert!(
+                !matches!(r, Ok(Some(_))),
+                "flip at byte {} bit {} decoded as a frame",
+                byte,
+                bit
+            );
+        }
+    }
 }
 
 proptest! {
@@ -81,42 +141,30 @@ proptest! {
         prop_assert_eq!(consumed, bytes.len());
     }
 
-    /// Every proper prefix is either "incomplete, read more" or an
-    /// outright error — never a decoded frame.
+    /// Every truncation point of every frame is detected.
     #[test]
     fn every_truncation_point_is_detected(f in frame()) {
-        let bytes = encode_frame(&f);
-        for cut in 0..bytes.len() {
-            let r = decode_frame(&bytes[..cut]);
-            prop_assert!(
-                !matches!(r, Ok(Some(_))),
-                "truncation to {} of {} bytes decoded a frame",
-                cut,
-                bytes.len()
-            );
-        }
+        truncations_detected(&f);
     }
 
-    /// Single-bit rot anywhere in a frame is always detected: the CRC
-    /// covers the header and body, so no flip may yield a frame. (A flip
-    /// that enlarges the length field legitimately reads as incomplete —
-    /// that too is detection, and more bytes only lead to a CRC error.)
+    /// Every single-bit flip of every frame is detected.
     #[test]
     fn every_single_bit_flip_is_detected(f in frame()) {
+        bit_flips_detected(&f);
+    }
+
+    /// The admission frames round-trip with full-width credentials, and
+    /// every truncation point and bit flip of them is detected.
+    #[test]
+    fn admission_frames_round_trip_and_resist_corruption(f in admission_frame()) {
         let bytes = encode_frame(&f);
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut rotted = bytes.clone();
-                rotted[byte] ^= 1 << bit;
-                let r = decode_frame(&rotted);
-                prop_assert!(
-                    !matches!(r, Ok(Some(_))),
-                    "flip at byte {} bit {} decoded as a frame",
-                    byte,
-                    bit
-                );
-            }
-        }
+        let (back, consumed) = decode_frame(&bytes)
+            .expect("own encoding is well-formed")
+            .expect("own encoding is complete");
+        prop_assert_eq!(&back, &f);
+        prop_assert_eq!(consumed, bytes.len());
+        truncations_detected(&f);
+        bit_flips_detected(&f);
     }
 
     /// Two frames back to back decode independently: corruption confined
