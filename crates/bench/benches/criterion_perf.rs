@@ -75,7 +75,6 @@ fn bench_coloring(c: &mut Criterion) {
 /// unchanged, so the measurement is steady.)
 fn bench_algorithms(c: &mut Criterion) {
     use ekbd_baselines::ChoySinghProcess;
-    use ekbd_dining::BudgetedDiningProcess;
     let g = topology::star(9);
     let colors = coloring::greedy(&g);
     let nobody: BTreeSet<ProcessId> = BTreeSet::new();
@@ -94,7 +93,7 @@ fn bench_algorithms(c: &mut Criterion) {
         });
     });
     group.bench_function("budgeted_m3", |b| {
-        let mut proc_ = BudgetedDiningProcess::from_graph(&g, &colors, ProcessId(0), 3);
+        let mut proc_ = DiningProcess::from_graph(&g, &colors, ProcessId(0)).with_ack_budget(3);
         let mut sends = Vec::with_capacity(4);
         b.iter(|| {
             sends.clear();

@@ -9,7 +9,7 @@
 //! an ablation of the design choice behind the paper's title.
 
 use ekbd_bench::{banner, conclude, verdict, Table};
-use ekbd_dining::BudgetedDiningProcess;
+use ekbd_dining::DiningProcess;
 use ekbd_graph::topology;
 use ekbd_harness::{Scenario, Workload};
 use ekbd_sim::Time;
@@ -45,7 +45,9 @@ fn main() {
                     eat: (6, 14),
                 })
                 .horizon(Time(500_000))
-                .run_with(|s, p| BudgetedDiningProcess::from_graph(&s.graph, &s.colors, p, m));
+                .run_with(|s, p| {
+                    DiningProcess::from_graph(&s.graph, &s.colors, p).with_ack_budget(m)
+                });
             assert!(report.progress().wait_free());
             // Silent oracle, no crashes: the suffix is the whole run.
             worst = worst.max(report.fairness().max_overtakes());

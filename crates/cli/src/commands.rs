@@ -7,7 +7,7 @@ use crate::spec::{
     parse_reorder, parse_storage_fault, AlgorithmSpec, OracleArg, ProtocolSpec, TopologySpec,
 };
 use ekbd_baselines::{ChoySinghProcess, NaivePriorityProcess};
-use ekbd_dining::{BudgetedDiningProcess, DiningProcess, RestartPath};
+use ekbd_dining::{DiningProcess, RestartPath};
 use ekbd_graph::ProcessId;
 use ekbd_harness::{Campaign, MembershipTag, RunReport, Scenario, Workload};
 use ekbd_journal::StorageFaultPlan;
@@ -234,10 +234,9 @@ fn run_with_algorithm(s: &Scenario, alg: &AlgorithmSpec) -> Result<RunReport, Ar
         AlgorithmSpec::Naive => {
             s.run_with(|sc, p| NaivePriorityProcess::from_graph(&sc.graph, &sc.colors, p))
         }
-        AlgorithmSpec::Budgeted(m) => {
-            let m = *m;
-            s.run_with(move |sc, p| BudgetedDiningProcess::from_graph(&sc.graph, &sc.colors, p, m))
-        }
+        AlgorithmSpec::Budgeted(m) => s.run_with(|sc, p| {
+            DiningProcess::from_graph(&sc.graph, &sc.colors, p).with_ack_budget(*m)
+        }),
     })
 }
 
@@ -656,12 +655,9 @@ fn stabilize_with<P: Protocol>(
         AlgorithmSpec::Naive => ScheduledRun::execute(protocol, s, cfg, |sc, p| {
             NaivePriorityProcess::from_graph(&sc.graph, &sc.colors, p)
         }),
-        AlgorithmSpec::Budgeted(m) => {
-            let m = *m;
-            ScheduledRun::execute(protocol, s, cfg, move |sc, p| {
-                BudgetedDiningProcess::from_graph(&sc.graph, &sc.colors, p, m)
-            })
-        }
+        AlgorithmSpec::Budgeted(m) => ScheduledRun::execute(protocol, s, cfg, |sc, p| {
+            DiningProcess::from_graph(&sc.graph, &sc.colors, p).with_ack_budget(*m)
+        }),
     }
 }
 

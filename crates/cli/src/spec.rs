@@ -196,21 +196,25 @@ pub enum AlgorithmSpec {
     ChoySingh,
     /// Naive priority dining (no doorway).
     Naive,
-    /// Algorithm 1 with a generalized ack budget.
+    /// Algorithm 1 with an ack budget of `m ≥ 1` per neighbor per hungry
+    /// session.
     Budgeted(u32),
 }
 
 impl AlgorithmSpec {
     /// Parses an algorithm spec string.
     pub fn parse(s: &str) -> Result<Self, ArgError> {
-        const EXPECT: &str = "alg1 | choy-singh | naive | budgeted:m";
+        const EXPECT: &str = "alg1 | choy-singh | naive | budgeted:m (m >= 1)";
         let err = || bad("--algorithm", s, EXPECT);
         Ok(match s {
             "alg1" => AlgorithmSpec::Algorithm1,
             "choy-singh" => AlgorithmSpec::ChoySingh,
             "naive" => AlgorithmSpec::Naive,
             other => match other.split_once(':') {
-                Some(("budgeted", m)) => AlgorithmSpec::Budgeted(m.parse().map_err(|_| err())?),
+                Some(("budgeted", m)) => match m.parse() {
+                    Ok(m) if m >= 1 => AlgorithmSpec::Budgeted(m),
+                    _ => return Err(err()),
+                },
                 _ => return Err(err()),
             },
         })
@@ -489,6 +493,7 @@ mod tests {
             Ok(AlgorithmSpec::Budgeted(3))
         );
         assert!(AlgorithmSpec::parse("budgeted:x").is_err());
+        assert!(AlgorithmSpec::parse("budgeted:0").is_err());
         assert!(AlgorithmSpec::parse("dijkstra").is_err());
     }
 

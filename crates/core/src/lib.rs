@@ -85,14 +85,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod budgeted;
 pub mod daemon;
 mod msg;
 mod process;
 mod recovery;
 mod traits;
 
-pub use budgeted::BudgetedDiningProcess;
 pub use msg::DiningMsg;
 pub use process::DiningProcess;
 pub use recovery::{

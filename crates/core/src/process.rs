@@ -13,8 +13,10 @@ mod flag {
     /// `ack_ij` — an ack from `j` was received during the current hungry
     /// session, while outside the doorway.
     pub const ACK: u8 = 1 << 1;
-    /// `replied_ij` — an ack was sent to `j` during the current hungry
-    /// session of `self` (the ◇2-BW mechanism).
+    /// `replied_ij` — the ack budget to `j` of the current hungry session
+    /// of `self` is spent: at budget 1 (the paper's Algorithm 1), one ack
+    /// was sent to `j` during it (the ◇2-BW mechanism); at budget m, m acks
+    /// were.
     pub const REPLIED: u8 = 1 << 2;
     /// `deferred_ij` — a ping from `j` is being deferred until after eating.
     pub const DEFERRED: u8 = 1 << 3;
@@ -45,6 +47,23 @@ mod flag {
 /// event the machine evaluates them in the enabling order 2 → 5 → 6 → 9,
 /// which is a legal weakly-fair schedule (an action enabled after an event
 /// fires before the next event is handled).
+///
+/// # The ack budget
+///
+/// Algorithm 1 grants at most *one* ack per neighbor per hungry session
+/// (the `replied` bit), which yields eventual **2**-bounded waiting: a
+/// neighbor can enter the doorway once on a fresh ack and once more on an
+/// ack that was already in flight. [`with_ack_budget(m)`] lets a hungry
+/// process grant up to `m` acks per neighbor per session before it defers,
+/// which yields eventual **(m+1)**-bounded waiting by the same argument —
+/// the "k" in the paper's title, measured by the `e10_ack_budget`
+/// experiment. The budget only changes *when* acks are granted, never the
+/// fork protocol, so ◇WX, wait-freedom, fork uniqueness, the channel bounds
+/// and quiescence are unaffected. Budget 1 is the default and keeps the
+/// single `replied` bit; a larger budget adds a per-neighbor count of the
+/// session's earlier grants.
+///
+/// [`with_ack_budget(m)`]: DiningProcess::with_ack_budget
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DiningProcess {
     id: ProcessId,
@@ -54,6 +73,12 @@ pub struct DiningProcess {
     state: DinerState,
     inside: bool,
     vars: Vec<u8>,
+    /// Acks a hungry session may grant each neighbor before `replied` is
+    /// set (1 in Algorithm 1).
+    ack_budget: u32,
+    /// Budget > 1 only (empty at budget 1): per neighbor, the acks this
+    /// hungry session granted before the one that spends the budget.
+    earlier_grants: Vec<u32>,
     /// Tolerate lemma violations (crash-recovery / corruption hardening).
     hardened: bool,
 }
@@ -97,8 +122,34 @@ impl DiningProcess {
             state: DinerState::Thinking,
             inside: false,
             vars,
+            ack_budget: 1,
+            earlier_grants: Vec::new(),
             hardened: false,
         }
+    }
+
+    /// Sets the ack budget: a hungry session grants each neighbor up to `m`
+    /// acks before it defers, for eventual (m+1)-bounded waiting. Budget 1
+    /// is Algorithm 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0`: a zero budget deadlocks two hungry neighbors
+    /// outside the doorway.
+    pub fn with_ack_budget(mut self, m: u32) -> Self {
+        assert!(m >= 1, "ack budget must be at least 1");
+        self.ack_budget = m;
+        self.earlier_grants = if m > 1 {
+            vec![0; self.neighbors.len()]
+        } else {
+            Vec::new()
+        };
+        self
+    }
+
+    /// The ack budget per neighbor per hungry session (1 in Algorithm 1).
+    pub fn ack_budget(&self) -> u32 {
+        self.ack_budget
     }
 
     /// Creates the process `id` from a conflict graph and a proper coloring
@@ -159,10 +210,20 @@ impl DiningProcess {
         self.get(self.idx(q), flag::DEFERRED)
     }
 
-    /// Whether this process has sent `q` an ack during its current hungry
-    /// session (the ◇2-BW `replied` flag).
+    /// Whether this process's current hungry session has spent its ack
+    /// budget to `q` (the `replied` flag; at budget 1, whether it has sent
+    /// `q` an ack — the ◇2-BW mechanism).
     pub fn replied_to(&self, q: ProcessId) -> bool {
         self.get(self.idx(q), flag::REPLIED)
+    }
+
+    /// Makes the ack budget to neighbor `j` whole again: clears `replied`
+    /// and, at budget > 1, the count of earlier grants.
+    fn refill_ack_budget(&mut self, j: usize) {
+        self.set(j, flag::REPLIED, false);
+        if let Some(count) = self.earlier_grants.get_mut(j) {
+            *count = 0;
+        }
     }
 
     // ----- receive actions ---------------------------------------------
@@ -173,8 +234,23 @@ impl DiningProcess {
             self.set(from, flag::DEFERRED, true);
         } else {
             sends.push((self.neighbors[from], DiningMsg::Ack));
-            self.set(from, flag::REPLIED, self.state == DinerState::Hungry);
+            let hungry = self.state == DinerState::Hungry;
+            if self.earlier_grants.is_empty() {
+                self.set(from, flag::REPLIED, hungry);
+            } else {
+                self.count_grant(from, hungry);
+            }
         }
+    }
+
+    /// Action 3 at budget m > 1: a hungry grant that is not the m-th is
+    /// counted, the m-th sets `replied`; a grant while not hungry leaves the
+    /// budget whole, as line 10 does at budget 1.
+    fn count_grant(&mut self, j: usize, hungry: bool) {
+        let earlier = self.earlier_grants[j];
+        let spent = hungry && earlier + 1 == self.ack_budget;
+        self.earlier_grants[j] = if hungry && !spent { earlier + 1 } else { 0 };
+        self.set(j, flag::REPLIED, spent);
     }
 
     /// Action 4 (lines 11–13): record an ack (only useful while hungry and
@@ -241,7 +317,7 @@ impl DiningProcess {
     }
 
     /// Action 5 (lines 14–17): enter the doorway once every neighbor has
-    /// either acked or is suspected; reset `ack` and `replied`.
+    /// either acked or is suspected; reset `ack` and refill the ack budget.
     fn try_enter_doorway(&mut self, suspicion: &dyn SuspicionView) {
         if self.state != DinerState::Hungry || self.inside {
             return;
@@ -252,7 +328,7 @@ impl DiningProcess {
             self.inside = true;
             for j in 0..self.neighbors.len() {
                 self.set(j, flag::ACK, false);
-                self.set(j, flag::REPLIED, false);
+                self.refill_ack_budget(j);
             }
         }
     }
@@ -326,6 +402,9 @@ impl DiningProcess {
             flag::TOKEN
         };
         self.vars.insert(j, placement);
+        if self.ack_budget > 1 {
+            self.earlier_grants.insert(j, 0);
+        }
     }
 
     /// Tears down the conflict edge to the departed neighbor `q`, dropping
@@ -340,6 +419,9 @@ impl DiningProcess {
         let j = self.idx(q);
         self.neighbors.remove(j);
         self.vars.remove(j);
+        if self.ack_budget > 1 {
+            self.earlier_grants.remove(j);
+        }
     }
 
     // ----- crash-recovery / self-stabilization support ------------------
@@ -375,26 +457,29 @@ impl DiningProcess {
     }
 
     /// Clears the doorway/session flags (`pinged`, `ack`, `replied`,
-    /// `deferred`) on the edge to `q`, as the rejoin handshake does when an
-    /// edge is re-canonicalized.
+    /// `deferred`) on the edge to `q` and refills its ack budget, as the
+    /// rejoin handshake does when an edge is re-canonicalized.
     pub fn reset_edge_session(&mut self, q: ProcessId) {
         let j = self.idx(q);
-        for f in [flag::PINGED, flag::ACK, flag::REPLIED, flag::DEFERRED] {
+        for f in [flag::PINGED, flag::ACK, flag::DEFERRED] {
             self.set(j, f, false);
         }
+        self.refill_ack_budget(j);
     }
 
     /// Clears only the volatile handshake flags (`pinged`, `ack`,
-    /// `replied`) on the edge to `q`, keeping `deferred` along with the
-    /// fork and token — what a confirmed `JournalResume` does: the
-    /// journaled obligations survive the restart, but any in-flight
-    /// ping/ack exchange died with the old incarnation (or was suppressed
-    /// while the edge was unsynced) and must be restarted from scratch.
+    /// `replied`, and the ack budget's count) on the edge to `q`, keeping
+    /// `deferred` along with the fork and token — what a confirmed
+    /// `JournalResume` does: the journaled obligations survive the restart,
+    /// but any in-flight ping/ack exchange died with the old incarnation
+    /// (or was suppressed while the edge was unsynced) and must be
+    /// restarted from scratch.
     pub fn reset_edge_handshake(&mut self, q: ProcessId) {
         let j = self.idx(q);
-        for f in [flag::PINGED, flag::ACK, flag::REPLIED] {
+        for f in [flag::PINGED, flag::ACK] {
             self.set(j, f, false);
         }
+        self.refill_ack_budget(j);
     }
 
     /// Clears a stuck `pinged` flag so the next internal-action pass
@@ -434,7 +519,7 @@ impl DiningProcess {
     ///
     /// * `ack`/`replied` set while not hungry-outside-the-doorway — both are
     ///   cleared on doorway entry and only set while hungry, so this is
-    ///   residue; cleared.
+    ///   residue; cleared, and the ack budget refilled.
     /// * `deferred` set while thinking outside the doorway — exit clears all
     ///   deferrals and a thinking process never defers, so this ping would
     ///   be deferred forever; grant the ack now and clear.
@@ -463,13 +548,10 @@ impl DiningProcess {
             if !eligible(self.neighbors[j]) {
                 continue;
             }
-            if !hungry_outside {
-                for f in [flag::ACK, flag::REPLIED] {
-                    if self.get(j, f) {
-                        self.set(j, f, false);
-                        repaired = true;
-                    }
-                }
+            if !hungry_outside && self.vars[j] & (flag::ACK | flag::REPLIED) != 0 {
+                self.set(j, flag::ACK, false);
+                self.refill_ack_budget(j);
+                repaired = true;
             }
             if self.state == DinerState::Thinking && !self.inside && self.get(j, flag::DEFERRED) {
                 sends.push((self.neighbors[j], DiningMsg::Ack));
@@ -560,12 +642,15 @@ impl DiningAlgorithm for DiningProcess {
     }
 
     /// §7: `log₂(δ) + 6δ + c` bits — 2 for `state`, 1 for `inside`,
-    /// `⌈log₂(δ+1)⌉` for the color, and 6 per neighbor.
+    /// `⌈log₂(δ+1)⌉` for the color, and 6 per neighbor. At budget m the
+    /// `replied` bit and the count of earlier grants take m+1 values, so a
+    /// neighbor costs `5 + ⌈log₂(m+1)⌉` bits.
     fn state_bits(&self) -> usize {
         let delta = self.neighbors.len();
         // ⌈log₂(δ+1)⌉ bits index the δ+1 possible colors (at least 1 bit).
         let color_bits = (usize::BITS - delta.max(1).leading_zeros()) as usize;
-        2 + 1 + color_bits + 6 * delta
+        let budget_bits = (u32::BITS - self.ack_budget.leading_zeros()) as usize;
+        2 + 1 + color_bits + (5 + budget_bits) * delta
     }
 }
 
@@ -1039,6 +1124,79 @@ mod tests {
     fn add_neighbor_rejects_duplicates() {
         let (mut hi, _) = pair();
         hi.add_neighbor(p(1), 2);
+    }
+
+    fn ping_from(proc_: &mut DiningProcess, q: usize) -> Vec<(ProcessId, DiningMsg)> {
+        let mut out = Vec::new();
+        proc_.handle(
+            DiningInput::Message {
+                from: p(q),
+                msg: DiningMsg::Ping,
+            },
+            &none(),
+            &mut out,
+        );
+        out
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn rejects_zero_budget() {
+        let _ = DiningProcess::new(p(0), 1, [(p(1), 0)]).with_ack_budget(0);
+    }
+
+    #[test]
+    fn budget_m_grants_m_acks_then_defers() {
+        let mut proc_ = DiningProcess::new(p(0), 1, [(p(1), 0)]).with_ack_budget(3);
+        proc_.handle(DiningInput::Hungry, &none(), &mut Vec::new());
+        for round in 0..3 {
+            assert!(
+                !proc_.replied_to(p(1)),
+                "budget not spent before grant {round}"
+            );
+            assert_eq!(ping_from(&mut proc_, 1), vec![(p(1), DiningMsg::Ack)]);
+        }
+        assert!(proc_.replied_to(p(1)), "the third grant spends the budget");
+        assert!(
+            ping_from(&mut proc_, 1).is_empty(),
+            "budget spent ⇒ deferred"
+        );
+        assert!(proc_.deferring_ack(p(1)));
+    }
+
+    #[test]
+    fn budget_resets_on_doorway_entry() {
+        let mut proc_ = DiningProcess::new(p(0), 1, [(p(1), 0)]).with_ack_budget(2);
+        proc_.handle(DiningInput::Hungry, &none(), &mut Vec::new());
+        ping_from(&mut proc_, 1);
+        // Enter the doorway via the neighbor's ack; fork already held ⇒ eats.
+        proc_.handle(
+            DiningInput::Message {
+                from: p(1),
+                msg: DiningMsg::Ack,
+            },
+            &none(),
+            &mut Vec::new(),
+        );
+        assert_eq!(proc_.state(), DinerState::Eating);
+        // Exit; new session: the whole budget is fresh again, so one grant
+        // from the last session does not count toward this one.
+        proc_.handle(DiningInput::DoneEating, &none(), &mut Vec::new());
+        proc_.handle(DiningInput::Hungry, &none(), &mut Vec::new());
+        assert!(ping_from(&mut proc_, 1).contains(&(p(1), DiningMsg::Ack)));
+        assert!(!proc_.replied_to(p(1)), "one of two acks granted");
+        assert!(ping_from(&mut proc_, 1).contains(&(p(1), DiningMsg::Ack)));
+        assert!(proc_.replied_to(p(1)));
+    }
+
+    #[test]
+    fn state_bits_grow_with_budget() {
+        let b1 = DiningProcess::new(p(0), 1, [(p(1), 0)]);
+        let b3 = DiningProcess::new(p(0), 1, [(p(1), 0)]).with_ack_budget(3);
+        assert_eq!(b1.state_bits(), 2 + 1 + 1 + 6); // replied = 1 bit
+        assert_eq!(b3.state_bits(), 2 + 1 + 1 + 7); // 4 values = 2 bits
+        assert_eq!(b1.ack_budget(), 1);
+        assert_eq!(b3.ack_budget(), 3);
     }
 
     #[test]

@@ -77,11 +77,13 @@ impl Model {
         }
     }
 
-    fn initial(&self, colors: &[u32], sessions: u8) -> World {
+    /// The initial world: every process thinking with ack budget
+    /// `ack_budget` and `sessions` hungry sessions to start.
+    fn initial(&self, colors: &[u32], sessions: u8, ack_budget: u32) -> World {
         let procs = self
             .graph
             .processes()
-            .map(|p| DiningProcess::from_graph(&self.graph, colors, p))
+            .map(|p| DiningProcess::from_graph(&self.graph, colors, p).with_ack_budget(ack_budget))
             .collect();
         World {
             procs,
@@ -252,7 +254,7 @@ fn triangle() -> (ConflictGraph, Vec<u32>) {
 fn exhaustive_two_processes_two_sessions() {
     let (g, colors) = path2();
     let model = Model::new(g, &colors, &[]);
-    let start = model.initial(&colors, 2);
+    let start = model.initial(&colors, 2, 1);
     let (states, terminals) = model.explore(start);
     println!("2-path: {states} states, {terminals} terminal");
     assert!(states > 100, "the search actually explored something");
@@ -261,19 +263,24 @@ fn exhaustive_two_processes_two_sessions() {
 
 #[test]
 fn exhaustive_three_path_two_sessions() {
-    let (g, colors) = path3();
-    let model = Model::new(g, &colors, &[]);
-    let start = model.initial(&colors, 2);
-    let (states, _) = model.explore(start);
-    println!("3-path: {states} states");
-    assert!(states > 5_000);
+    // Ack budget 2 lets the middle process grant each neighbor a second
+    // ack in one hungry session: the m > 1 doorway must keep every
+    // invariant too.
+    for ack_budget in [1, 2] {
+        let (g, colors) = path3();
+        let model = Model::new(g, &colors, &[]);
+        let start = model.initial(&colors, 2, ack_budget);
+        let (states, _) = model.explore(start);
+        println!("3-path, ack budget {ack_budget}: {states} states");
+        assert!(states > 5_000);
+    }
 }
 
 #[test]
 fn exhaustive_triangle_two_sessions() {
     let (g, colors) = triangle();
     let model = Model::new(g, &colors, &[]);
-    let start = model.initial(&colors, 2);
+    let start = model.initial(&colors, 2, 1);
     let (states, _) = model.explore(start);
     println!("triangle: {states} states");
     assert!(states > 10_000);
@@ -283,13 +290,21 @@ fn exhaustive_triangle_two_sessions() {
 fn exhaustive_with_crashed_neighbor() {
     // p1 (the middle of a 3-path) is crashed from the start and exactly
     // suspected by both neighbors: in EVERY schedule both outer processes
-    // complete their sessions (wait-freedom, exhaustively).
-    let (g, colors) = path3();
-    let model = Model::new(g, &colors, &[1]);
-    let start = model.initial(&colors, 2);
-    let (states, terminals) = model.explore(start);
-    println!("3-path with crashed middle: {states} states, {terminals} terminal");
-    assert!(terminals >= 1);
+    // complete their sessions (wait-freedom, exhaustively). Their only
+    // neighbor is dead, so no ping reaches them and the ack budget cannot
+    // matter; with the end p2 crashed instead, the live pair p0–p1
+    // contends under budget 2 while p1 waits out its dead neighbor.
+    for (crashed, ack_budget) in [(1, 1), (1, 2), (2, 2)] {
+        let (g, colors) = path3();
+        let model = Model::new(g, &colors, &[crashed]);
+        let start = model.initial(&colors, 2, ack_budget);
+        let (states, terminals) = model.explore(start);
+        println!(
+            "3-path with p{crashed} crashed, ack budget {ack_budget}: \
+             {states} states, {terminals} terminal"
+        );
+        assert!(terminals >= 1);
+    }
 }
 
 #[test]
@@ -298,7 +313,7 @@ fn exhaustive_two_processes_one_crashed() {
     // fork holder.
     let (g, colors) = path2();
     let model = Model::new(g, &colors, &[0]); // p0 (fork holder) dead
-    let start = model.initial(&colors, 3);
+    let start = model.initial(&colors, 3, 1);
     let (states, terminals) = model.explore(start);
     println!("2-path, fork holder dead: {states} states, {terminals} terminal");
     assert!(terminals >= 1);
