@@ -21,7 +21,7 @@
 
 use crate::conn::{splitmix64, Conn, ServerAddr};
 use crate::wire::{
-    decode_frame, encode_frame, AdmitPath, Frame, WireError, REJECT_ALREADY_BOUND,
+    decode_frame, encode_frame_into, AdmitPath, Frame, WireError, REJECT_ALREADY_BOUND,
     REJECT_BAD_PROCESS, REJECT_BUSY, REJECT_UNKNOWN_SESSION,
 };
 use std::collections::VecDeque;
@@ -188,11 +188,23 @@ struct Binding {
     creds: Creds,
 }
 
-/// One dialed connection: the socket, its read accumulator, and the table
-/// events decoded while a control call waited for its answer.
+/// Bytes per socket read, and the held-request size that forces a write.
+const CHUNK: usize = 4096;
+
+/// One dialed connection: the socket, its read accumulator, the requests
+/// held for the next write, and the table events decoded while a control
+/// call waited for its answer.
+///
+/// `Hungry` requests are held, not written: the held bytes go out in one
+/// `write_all` before the link blocks on a socket read, ahead of any
+/// control frame, and once they reach [`CHUNK`]. A write error surfaces
+/// from whichever call made the write.
 struct Link {
     conn: Conn,
     acc: Vec<u8>,
+    /// Bytes of `acc` already decoded.
+    at: usize,
+    held: Vec<u8>,
     pending: VecDeque<MuxEvent>,
 }
 
@@ -202,25 +214,45 @@ impl Link {
         conn.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
         Ok(Link {
             conn,
-            acc: Vec::with_capacity(4096),
+            acc: Vec::with_capacity(CHUNK),
+            at: 0,
+            held: Vec::with_capacity(CHUNK),
             pending: VecDeque::new(),
         })
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        self.conn.write_all(&encode_frame(frame))?;
+    /// Holds a request frame for the next write.
+    fn hold(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        encode_frame_into(frame, &mut self.held);
+        if self.held.len() >= CHUNK {
+            self.write_held()?;
+        }
         Ok(())
+    }
+
+    /// Sends a control frame now, behind every held request.
+    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        encode_frame_into(frame, &mut self.held);
+        self.write_held()
+    }
+
+    fn write_held(&mut self) -> Result<(), ClientError> {
+        if self.held.is_empty() {
+            return Ok(());
+        }
+        let written = self.conn.write_all(&self.held);
+        self.held.clear();
+        Ok(written?)
     }
 
     /// The one frame-read loop: the next frame that is not a heartbeat,
     /// answering server `Ping`s inline so that any blocked wait keeps the
     /// connection alive.
     fn read_frame(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
-        let mut chunk = [0u8; 4096];
         loop {
-            match decode_frame(&self.acc) {
+            match decode_frame(&self.acc[self.at..]) {
                 Ok(Some((frame, n))) => {
-                    self.acc.drain(..n);
+                    self.at += n;
                     match frame {
                         Frame::Ping { nonce } => self.send(&Frame::Pong { nonce })?,
                         Frame::Pong { .. } => {}
@@ -231,9 +263,14 @@ impl Link {
                 Ok(None) => {}
                 Err(e) => return Err(ClientError::Protocol(e)),
             }
+            self.acc.drain(..self.at);
+            self.at = 0;
+            // Held requests go out before the wait for their answers.
+            self.write_held()?;
             if Instant::now() >= deadline {
                 return Err(ClientError::Timeout);
             }
+            let mut chunk = [0u8; CHUNK];
             match self.conn.read(&mut chunk) {
                 Ok(0) => return Err(ClientError::Closed),
                 Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
@@ -413,12 +450,15 @@ impl MuxClient {
         Ok(())
     }
 
-    /// Requests to eat on behalf of any bound process.
+    /// Requests to eat on behalf of any bound process. The request is
+    /// held and goes out with the next write: at the latest when this
+    /// client next waits on the socket ([`next_event`](Self::next_event)
+    /// or a control call), so a burst of requests costs one write.
     pub fn hungry(&mut self, process: u32) -> Result<(), ClientError> {
         if !self.is_bound(process) {
             return Err(ClientError::Rejected(REJECT_BAD_PROCESS));
         }
-        self.link.send(&Frame::Hungry { process })
+        self.link.hold(&Frame::Hungry { process })
     }
 
     /// The next table event for *any* bound process, answering
@@ -448,7 +488,9 @@ impl MuxClient {
     /// back to a fresh bind for a session the server reaped). Returns each
     /// readmitted process with the admission path the server reported for
     /// it, in bind order. A process the server now refuses outright (bound
-    /// elsewhere meanwhile) is dropped from the block, not fatal.
+    /// elsewhere meanwhile) is dropped from the block, not fatal. Requests
+    /// still held for the dead link are discarded: re-request hunger
+    /// after a reconnect.
     pub fn reconnect(&mut self) -> Result<Vec<(u32, AdmitPath)>, ClientError> {
         self.link = retry(
             &self.cfg,

@@ -19,9 +19,9 @@
 //!   `Bound` frame;
 //! * overload is **shed, not queued**: binds past the session cap get a
 //!   busy `BindReject` with a retry hint, slow readers are disconnected
-//!   when their bounded send queue fills, and silent connections are
-//!   culled by a strike-gated heartbeat (suspicion, then conviction —
-//!   the ◇P₁ idiom applied to sockets).
+//!   once their socket has refused a bounded number of frames, and
+//!   silent connections are culled by a strike-gated heartbeat
+//!   (suspicion, then conviction — the ◇P₁ idiom applied to sockets).
 //!
 //! Everything is plain `std::net` + a small readiness reactor over the
 //! vendored epoll shim; there is no async runtime and no

@@ -13,15 +13,20 @@
 //!   off per-connection read accumulators, runs admissions, and drains
 //!   per-connection write buffers — there are
 //!   no per-connection threads, no writer threads, and no bounded
-//!   queues; a connection whose write buffer exceeds
-//!   [`ServerConfig::send_queue`] frames is a slow reader and is
-//!   disconnected. Heartbeat strikes and silent-dialer deadlines are swept
-//!   by the owning reactor between polls. Cross-thread work (event
-//!   frames from the pump, admission completions) arrives on a command
-//!   queue flushed by an eventfd wakeup;
-//! * one **event pump** thread drains the backend's live event tap,
-//!   translating `StartedEating` / `StoppedEating` into process-tagged
-//!   `Granted` / `Released` frames, and runs the detach-TTL reaper
+//!   queues. Work is batched per turn: the `Hungry`s of one read reach
+//!   the backend in one hand-off, and queued frames are written once per
+//!   connection at the end of the turn. A connection whose socket has
+//!   refused [`ServerConfig::send_queue`] frames after that write is a
+//!   slow reader and is disconnected. Heartbeat strikes and silent-dialer
+//!   deadlines are swept by the owning reactor between polls.
+//!   Cross-thread work (event frames from the pump, admission
+//!   completions) arrives on a command queue flushed by an eventfd
+//!   wakeup;
+//! * one **event pump** thread drains the backend's live event tap a
+//!   batch at a time, translating `StartedEating` / `StoppedEating` into
+//!   process-tagged `Granted` / `Released` frames — one sessions lock per
+//!   batch, one byte buffer per connection, one post and one wakeup per
+//!   reactor — and runs the detach-TTL reaper
 //!   ([`ServerConfig::detach_ttl_ms`]).
 //!
 //! Blocking work never runs on a reactor: a readmission that must wait
@@ -75,8 +80,8 @@
 use crate::conn::{splitmix64, Conn, Listener, ServerAddr};
 use crate::poll::{Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{
-    decode_frame, encode_frame, AdmitPath, Frame, REJECT_ALREADY_BOUND, REJECT_BAD_PROCESS,
-    REJECT_BUSY, REJECT_UNKNOWN_SESSION,
+    decode_frame, encode_frame_into, framed_len, AdmitPath, Frame, REJECT_ALREADY_BOUND,
+    REJECT_BAD_PROCESS, REJECT_BUSY, REJECT_UNKNOWN_SESSION,
 };
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ekbd_dining::{DiningObs, RecoveryMsg, RestartPath};
@@ -123,9 +128,12 @@ pub struct ServerConfig {
     /// Admission cap: a `Bind` that would create session number
     /// `max_sessions + 1` is shed with a busy `BindReject` instead.
     pub max_sessions: usize,
-    /// Capacity, in frames, of each connection's write buffer. A session
-    /// whose buffer fills (a reader too slow for its own event stream)
-    /// is disconnected rather than allowed to hold memory hostage.
+    /// Capacity, in frames, of each connection's write buffer, counting
+    /// only frames its socket refused: a connection left holding this
+    /// many after the reactor's write (a reader too slow for its own
+    /// event stream) is disconnected rather than allowed to hold memory
+    /// hostage. A burst the socket takes whole never counts, however
+    /// large.
     pub send_queue: usize,
     /// Heartbeat sweep period in milliseconds.
     pub heartbeat_ms: u64,
@@ -245,7 +253,18 @@ pub struct ServerRun {
 // ---------------------------------------------------------------------
 
 enum ScaleCmd {
-    Hungry(u32),
+    /// Processes made hungry by one read off one connection, in order.
+    Hungry(Vec<u32>),
+}
+
+fn apply(kernel: &mut InteractiveScale, cmd: ScaleCmd) {
+    match cmd {
+        ScaleCmd::Hungry(ps) => {
+            for p in ps {
+                kernel.inject_hungry(p);
+            }
+        }
+    }
 }
 
 /// The scale backend: one driver thread owning an [`InteractiveScale`]
@@ -270,18 +289,12 @@ impl ScaleService {
                 let mut obs = Vec::new();
                 loop {
                     match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(ScaleCmd::Hungry(p)) => {
-                            kernel.inject_hungry(p);
-                        }
+                        Ok(cmd) => apply(&mut kernel, cmd),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
                     for cmd in rx.try_iter() {
-                        match cmd {
-                            ScaleCmd::Hungry(p) => {
-                                kernel.inject_hungry(p);
-                            }
-                        }
+                        apply(&mut kernel, cmd);
                     }
                     obs.clear();
                     kernel.step(1u64 << 16, &mut obs);
@@ -342,11 +355,17 @@ enum Backend {
 }
 
 impl Backend {
-    fn make_hungry(&self, p: u32) {
+    /// Makes every process in `ps` hungry, in order: one hand-off for
+    /// all the `Hungry` frames of one read.
+    fn make_hungry(&self, ps: Vec<u32>) {
         match self {
-            Backend::Threaded(sys) => sys.make_hungry(ProcessId::from(p as usize)),
+            Backend::Threaded(sys) => {
+                for p in ps {
+                    sys.make_hungry(ProcessId::from(p as usize));
+                }
+            }
             Backend::Scale(svc) => {
-                let _ = svc.tx.send(ScaleCmd::Hungry(p));
+                let _ = svc.tx.send(ScaleCmd::Hungry(ps));
             }
         }
     }
@@ -386,7 +405,7 @@ impl Backend {
 /// Where a session's live connection lives: which reactor, which slab
 /// slot, and the attachment generation (slots are reused; generations
 /// are not).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct ConnRef {
     reactor: usize,
     slot: usize,
@@ -585,40 +604,46 @@ impl ServerInner {
         }
     }
 
-    /// Queues `frame` to the session bound to `p`, if any, by posting to
-    /// the owning reactor.
-    fn push_to(&self, p: u32, frame: &Frame) {
-        let conn = {
-            let sessions = self.sessions.lock();
-            match sessions.get(&p).and_then(|s| s.conn.as_ref()) {
-                Some(c) => *c,
-                None => return,
-            }
+    /// Routes one batch of backend events to the sessions: each
+    /// `StartedEating` / `StoppedEating` becomes a process-tagged
+    /// `Granted` / `Released` frame, encoded straight into its
+    /// connection's buffer. One sessions lock per batch, one
+    /// [`Cmd::Send`] per connection, one post per reactor.
+    fn route(&self, events: &[SchedEvent]) {
+        let Some(reactors) = self.reactors.get() else {
+            return;
         };
-        if let Some(reactors) = self.reactors.get() {
-            reactors[conn.reactor].post(Cmd::Send {
+        let mut out: HashMap<ConnRef, (Vec<u8>, usize)> = HashMap::new();
+        {
+            let sessions = self.sessions.lock();
+            for e in events {
+                let process = e.process.index() as u32;
+                let at_ms = e.time.0;
+                let frame = match e.obs {
+                    DiningObs::StartedEating => Frame::Granted { process, at_ms },
+                    DiningObs::StoppedEating => Frame::Released { process, at_ms },
+                    _ => continue,
+                };
+                let Some(conn) = sessions.get(&process).and_then(|s| s.conn) else {
+                    continue;
+                };
+                let (bytes, frames) = out.entry(conn).or_default();
+                encode_frame_into(&frame, bytes);
+                *frames += 1;
+            }
+        }
+        let mut posts: Vec<Vec<Cmd>> = reactors.iter().map(|_| Vec::new()).collect();
+        for (conn, (bytes, frames)) in out {
+            posts[conn.reactor].push(Cmd::Send {
                 slot: conn.slot,
                 gen: conn.gen,
-                bytes: encode_frame(frame),
+                bytes,
+                frames,
             });
         }
-    }
-
-    /// Translates a backend event into a process-tagged session frame.
-    fn route(&self, e: SchedEvent) {
-        let process = e.process.index() as u32;
-        let frame = match e.obs {
-            DiningObs::StartedEating => Frame::Granted {
-                process,
-                at_ms: e.time.0,
-            },
-            DiningObs::StoppedEating => Frame::Released {
-                process,
-                at_ms: e.time.0,
-            },
-            _ => return,
-        };
-        self.push_to(process, &frame);
+        for (shared, cmds) in reactors.iter().zip(posts) {
+            shared.post(cmds);
+        }
     }
 
     /// Revives a crashed process and reports which recovery path its new
@@ -671,11 +696,13 @@ impl ServerInner {
 enum Cmd {
     /// Adopt a freshly accepted connection into the slab.
     Adopt(Conn),
-    /// Queue bytes to slot `slot` if generation `gen` still lives there.
+    /// Queue `frames` encoded frames to slot `slot` if generation `gen`
+    /// still lives there.
     Send {
         slot: usize,
         gen: u64,
         bytes: Vec<u8>,
+        frames: usize,
     },
     /// An admission worker finished its recovery wait.
     AdmissionDone {
@@ -697,9 +724,17 @@ struct ReactorShared {
 }
 
 impl ReactorShared {
-    fn post(&self, cmd: Cmd) {
-        self.queue.lock().push_back(cmd);
-        self.waker.wake();
+    /// Queues `cmds` under one lock with one wakeup (none if empty).
+    fn post(&self, cmds: impl IntoIterator<Item = Cmd>) {
+        let posted = {
+            let mut queue = self.queue.lock();
+            let before = queue.len();
+            queue.extend(cmds);
+            queue.len() > before
+        };
+        if posted {
+            self.waker.wake();
+        }
     }
 }
 
@@ -711,9 +746,14 @@ struct ConnEntry {
     /// connection; stale cross-thread commands are discarded by it.
     gen: u64,
     acc: Vec<u8>,
-    wq: VecDeque<Vec<u8>>,
-    /// Bytes of `wq.front()` already written.
+    /// Encoded frames queued for the socket; starts on a frame boundary.
+    out: Vec<u8>,
+    /// Bytes of `out` already written.
     wpos: usize,
+    /// Frames in `out` not yet wholly written.
+    unsent: usize,
+    /// Listed in the reactor's dirty set, awaiting this turn's flush.
+    dirty: bool,
     /// Readiness mask currently registered with the poller.
     interest: u32,
     /// Processes bound on this connection, in bind order.
@@ -731,24 +771,36 @@ struct ConnEntry {
 
 /// Flushes the write buffer as far as the socket allows. `Ok(true)` when
 /// fully drained, `Ok(false)` when the socket would block, `Err` on a
-/// fatal socket error.
+/// fatal socket error. A partial write drops the frames it completed, so
+/// `unsent` then counts exactly the frames the socket refused.
 fn flush_entry(entry: &mut ConnEntry) -> io::Result<bool> {
-    while let Some(front) = entry.wq.front() {
-        match entry.conn.write(&front[entry.wpos..]) {
+    while entry.wpos < entry.out.len() {
+        match entry.conn.write(&entry.out[entry.wpos..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                entry.wpos += n;
-                if entry.wpos == front.len() {
-                    entry.wq.pop_front();
-                    entry.wpos = 0;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Ok(n) => entry.wpos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(true)
+    if entry.wpos == entry.out.len() {
+        entry.out.clear();
+        entry.wpos = 0;
+        entry.unsent = 0;
+        return Ok(true);
+    }
+    let mut done = 0;
+    loop {
+        let end = done + framed_len(&entry.out[done..]);
+        if end > entry.wpos {
+            break;
+        }
+        done = end;
+        entry.unsent -= 1;
+    }
+    entry.out.drain(..done);
+    entry.wpos -= done;
+    Ok(false)
 }
 
 struct Reactor {
@@ -758,6 +810,8 @@ struct Reactor {
     poller: Poller,
     slab: Vec<Option<ConnEntry>>,
     free: Vec<usize>,
+    /// Slots with bytes queued since the last flush.
+    dirty: Vec<usize>,
     nonce: u32,
     shutting_down: bool,
 }
@@ -777,6 +831,7 @@ impl Reactor {
             poller,
             slab: Vec::new(),
             free: Vec::new(),
+            dirty: Vec::new(),
             nonce: 0,
             shutting_down: false,
         })
@@ -786,11 +841,11 @@ impl Reactor {
         let beat = Duration::from_millis(self.inner.cfg.heartbeat_ms.max(1));
         let mut next_beat = Instant::now() + beat;
         let mut events: Vec<(u64, u32)> = Vec::new();
+        // One turn: poll, read and dispatch, take the posted commands,
+        // then write every connection that has bytes queued — once.
+        // Commands posted after the drain re-arm the waker, so the next
+        // poll returns at once.
         loop {
-            self.drain_cmds();
-            if self.shutting_down && self.slab.iter().all(Option::is_none) {
-                break;
-            }
             let now = Instant::now();
             let mut wake_at = next_beat;
             for e in self.slab.iter().flatten() {
@@ -817,19 +872,27 @@ impl Reactor {
                 next_beat = now + beat;
             }
             self.sweep_deadlines(now);
+            self.flush_dirty();
+            if self.shutting_down && self.slab.iter().all(Option::is_none) {
+                break;
+            }
         }
     }
 
     fn drain_cmds(&mut self) {
-        loop {
-            let cmd = self.shared.queue.lock().pop_front();
-            let Some(cmd) = cmd else { break };
+        let cmds = std::mem::take(&mut *self.shared.queue.lock());
+        for cmd in cmds {
             match cmd {
                 Cmd::Adopt(conn) => self.adopt(conn),
-                Cmd::Send { slot, gen, bytes } => {
+                Cmd::Send {
+                    slot,
+                    gen,
+                    bytes,
+                    frames,
+                } => {
                     let live = self.slab.get(slot).and_then(Option::as_ref);
-                    if live.is_some_and(|e| e.gen == gen && !e.dead) {
-                        self.queue_bytes(slot, bytes);
+                    if live.is_some_and(|e| e.gen == gen) {
+                        self.queue(slot, frames, |out| out.extend_from_slice(&bytes));
                     }
                 }
                 Cmd::AdmissionDone {
@@ -883,8 +946,10 @@ impl Reactor {
             conn,
             gen,
             acc: Vec::with_capacity(256),
-            wq: VecDeque::new(),
+            out: Vec::new(),
             wpos: 0,
+            unsent: 0,
+            dirty: false,
             interest,
             bound: Vec::new(),
             strikes: 0,
@@ -895,40 +960,43 @@ impl Reactor {
     }
 
     fn handle_event(&mut self, slot: usize, ready: u32) {
-        let Some(entry) = self.slab.get(slot).and_then(Option::as_ref) else {
+        if !self.is_live(slot) {
             return;
-        };
-        if entry.dead {
+        }
+        if ready & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+            self.do_read(slot);
+        }
+        if !self.is_live(slot) {
             return;
         }
         if ready & EPOLLERR != 0 {
             self.hang_up(slot);
-            return;
-        }
-        if ready & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-            self.do_read(slot);
-        }
-        let still = self.slab.get(slot).and_then(Option::as_ref);
-        if ready & EPOLLOUT != 0 && still.is_some_and(|e| !e.dead) {
-            self.flush(slot);
+        } else if ready & EPOLLOUT != 0 {
+            self.mark_dirty(slot);
         }
     }
 
-    /// Reads everything available into the accumulator, then decodes.
+    fn is_live(&self, slot: usize) -> bool {
+        self.slab
+            .get(slot)
+            .and_then(Option::as_ref)
+            .is_some_and(|e| !e.dead)
+    }
+
+    /// Reads everything available into the accumulator, then decodes. A
+    /// peer that wrote its last frames and closed (`Bye`, then EOF, seen
+    /// by one read) has those frames dispatched before the hang-up.
     fn do_read(&mut self, slot: usize) {
         let mut chunk = [0u8; 16 * 1024];
+        let mut closed = false;
         loop {
             let Some(entry) = self.slab[slot].as_mut() else {
                 return;
             };
-            if entry.dead {
-                return;
-            }
             match entry.conn.read(&mut chunk) {
                 Ok(0) => {
-                    // EOF without Bye.
-                    self.hang_up(slot);
-                    return;
+                    closed = true;
+                    break;
                 }
                 Ok(n) => {
                     entry.strikes = 0;
@@ -937,35 +1005,59 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.hang_up(slot);
-                    return;
+                    closed = true;
+                    break;
                 }
             }
         }
         self.process_frames(slot);
+        if closed && self.is_live(slot) {
+            self.hang_up(slot);
+        }
     }
 
-    /// Decodes and dispatches every buffered frame.
+    /// Decodes and dispatches every buffered frame with a cursor, then
+    /// compacts the accumulator once. The `Hungry`s of bound processes
+    /// are gathered into one backend hand-off, made before any other
+    /// frame is dispatched — a control frame may detach a process or end
+    /// the connection, and each process's requests keep their order.
     fn process_frames(&mut self, slot: usize) {
-        loop {
-            let Some(entry) = self.slab[slot].as_mut() else {
-                return;
-            };
-            if entry.dead {
-                return;
-            }
-            let frame = match decode_frame(&entry.acc) {
+        let mut at = 0;
+        let mut hungry = Vec::new();
+        while let Some(entry) = self.slab[slot].as_mut().filter(|e| !e.dead) {
+            let frame = match decode_frame(&entry.acc[at..]) {
                 Ok(Some((frame, n))) => {
-                    entry.acc.drain(..n);
+                    at += n;
                     frame
                 }
-                Ok(None) => return,
+                Ok(None) => break,
                 Err(_) => {
+                    self.hand_off(&mut hungry);
                     self.close_protocol_error(slot);
-                    return;
+                    break;
                 }
             };
-            self.dispatch(slot, frame);
+            match frame {
+                Frame::Hungry { process } if entry.bound.contains(&process) => {
+                    hungry.push(process);
+                }
+                frame => {
+                    self.hand_off(&mut hungry);
+                    self.dispatch(slot, frame);
+                }
+            }
+        }
+        self.hand_off(&mut hungry);
+        // A dead connection's accumulator was cleared at teardown.
+        if let Some(entry) = self.slab[slot].as_mut().filter(|e| !e.dead) {
+            entry.acc.drain(..at);
+        }
+    }
+
+    fn hand_off(&self, hungry: &mut Vec<u32>) {
+        if !hungry.is_empty() {
+            let ps = std::mem::take(hungry);
+            self.inner.with_backend(|b| b.make_hungry(ps));
         }
     }
 
@@ -1044,7 +1136,7 @@ impl Reactor {
             .name("ekbd-net-admit".into())
             .spawn(move || {
                 let (seen, path) = inner.recover_and_classify(process, seen);
-                shared.post(Cmd::AdmissionDone {
+                shared.post([Cmd::AdmissionDone {
                     slot,
                     gen,
                     process,
@@ -1052,7 +1144,7 @@ impl Reactor {
                     token,
                     seen,
                     path,
-                });
+                }]);
             });
         if spawned.is_err() {
             // Could not spawn: unwind the claim and drop the connection.
@@ -1128,18 +1220,10 @@ impl Reactor {
         );
     }
 
+    /// Handles one inbound frame other than the `Hungry` of a bound
+    /// process, which [`process_frames`](Self::process_frames) batches.
     fn dispatch(&mut self, slot: usize, frame: Frame) {
         match frame {
-            Frame::Hungry { process } => {
-                let bound = self.slab[slot]
-                    .as_ref()
-                    .is_some_and(|e| e.bound.contains(&process));
-                if bound {
-                    self.inner.with_backend(|b| b.make_hungry(process));
-                } else {
-                    self.close_protocol_error(slot);
-                }
-            }
             Frame::Ping { nonce } => {
                 self.queue_frame(slot, &Frame::Pong { nonce });
             }
@@ -1161,39 +1245,55 @@ impl Reactor {
                 }
             }
             Frame::Bye => self.conn_end(slot, true),
-            // Server-to-client frames are out of protocol here.
+            // Server-to-client frames, and `Hungry` for a process not
+            // bound here, are out of protocol.
             _ => self.close_protocol_error(slot),
         }
     }
 
     fn queue_frame(&mut self, slot: usize, frame: &Frame) {
-        self.queue_bytes(slot, encode_frame(frame));
+        self.queue(slot, 1, |out| encode_frame_into(frame, out));
     }
 
-    fn queue_bytes(&mut self, slot: usize, bytes: Vec<u8>) {
-        let Some(entry) = self.slab[slot].as_mut() else {
+    /// Appends `frames` frames to the slot's write buffer via `append`.
+    /// Nothing is written here: the turn's [`flush_dirty`](Self::flush_dirty)
+    /// does that, once per connection.
+    fn queue(&mut self, slot: usize, frames: usize, append: impl FnOnce(&mut Vec<u8>)) {
+        let Some(entry) = self.slab[slot].as_mut().filter(|e| !e.dead) else {
             return;
         };
-        if entry.dead {
-            return;
+        append(&mut entry.out);
+        entry.unsent += frames;
+        self.mark_dirty(slot);
+    }
+
+    fn mark_dirty(&mut self, slot: usize) {
+        if let Some(entry) = self.slab[slot].as_mut() {
+            if !entry.dirty {
+                entry.dirty = true;
+                self.dirty.push(slot);
+            }
         }
-        if entry.wq.len() >= self.inner.cfg.send_queue.max(1) {
-            // The reader is slower than its own event stream.
-            self.inner.stats.shed_slow.fetch_add(1, Ordering::Relaxed);
-            self.conn_end(slot, false);
-            return;
+    }
+
+    /// Writes every connection queued to this turn, one flush each.
+    fn flush_dirty(&mut self) {
+        for slot in std::mem::take(&mut self.dirty) {
+            self.flush(slot);
         }
-        entry.wq.push_back(bytes);
-        self.flush(slot);
     }
 
     /// Writes as much as the socket takes and re-arms `EPOLLOUT` while any
-    /// buffer remains.
+    /// buffer remains. A reader is slow once the frames its socket refused
+    /// reach [`ServerConfig::send_queue`]; frames queued within the turn
+    /// and taken by the socket never count.
     fn flush(&mut self, slot: usize) {
-        let fatal = {
+        let cap = self.inner.cfg.send_queue.max(1);
+        let (fatal, slow) = {
             let Some(entry) = self.slab[slot].as_mut() else {
                 return;
             };
+            entry.dirty = false;
             if entry.dead {
                 return;
             }
@@ -1208,13 +1308,16 @@ impl Reactor {
                     {
                         entry.interest = want;
                     }
-                    false
+                    (false, entry.unsent >= cap)
                 }
-                Err(_) => true,
+                Err(_) => (true, false),
             }
         };
         if fatal {
             self.hang_up(slot);
+        } else if slow {
+            self.inner.stats.shed_slow.fetch_add(1, Ordering::Relaxed);
+            self.conn_end(slot, false);
         }
     }
 
@@ -1314,7 +1417,9 @@ impl Reactor {
             entry.dead = true;
             self.poller.delete(entry.conn.raw_fd());
             entry.conn.kill();
-            entry.wq.clear();
+            entry.out.clear();
+            entry.wpos = 0;
+            entry.unsent = 0;
             entry.acc.clear();
             (std::mem::take(&mut entry.bound), entry.gen)
         };
@@ -1435,7 +1540,7 @@ impl DaemonServer {
                                     inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
                                     let reactors =
                                         inner.reactors.get().expect("reactors initialized");
-                                    reactors[next % reactors.len()].post(Cmd::Adopt(conn));
+                                    reactors[next % reactors.len()].post([Cmd::Adopt(conn)]);
                                     next = next.wrapping_add(1);
                                 }
                                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1455,14 +1560,17 @@ impl DaemonServer {
                     let sweep_every =
                         Duration::from_millis((inner.cfg.detach_ttl_ms / 4).clamp(5, 250));
                     let mut last_sweep = Instant::now();
+                    let mut batch: Vec<SchedEvent> = Vec::new();
                     while inner.running.load(Ordering::Relaxed) {
                         match tap.recv_timeout(Duration::from_millis(10)) {
-                            Ok(e) => inner.route(e),
+                            Ok(e) => batch.push(e),
                             Err(RecvTimeoutError::Timeout) => {}
                             Err(RecvTimeoutError::Disconnected) => break,
                         }
-                        for e in tap.try_iter() {
-                            inner.route(e);
+                        batch.extend(tap.try_iter());
+                        if !batch.is_empty() {
+                            inner.route(&batch);
+                            batch.clear();
                         }
                         if last_sweep.elapsed() >= sweep_every {
                             last_sweep = Instant::now();
@@ -1503,7 +1611,7 @@ impl DaemonServer {
         let _ = self.acceptor.join();
         if let Some(reactors) = self.inner.reactors.get() {
             for shared in reactors {
-                shared.post(Cmd::Shutdown);
+                shared.post([Cmd::Shutdown]);
             }
         }
         for handle in self.reactors {

@@ -235,44 +235,56 @@ fn get_u64(b: &[u8]) -> u64 {
 
 /// Encodes `frame` as one EKN2 wire frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24);
+    let mut out = Vec::with_capacity(OVERHEAD + 22);
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Appends `frame`'s EKN2 encoding to `out`, so a batch of frames bound
+/// for one peer encodes straight into one write buffer. The bytes are
+/// exactly those of [`encode_frame`].
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    // Length placeholder, patched once the body is written.
+    out.extend_from_slice(&[0, 0]);
     match frame {
         Frame::Hungry { process } => {
-            body.push(T_HUNGRY);
-            put_u32(&mut body, *process);
+            out.push(T_HUNGRY);
+            put_u32(out, *process);
         }
         Frame::Granted { process, at_ms } => {
-            body.push(T_GRANTED);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *at_ms);
+            out.push(T_GRANTED);
+            put_u32(out, *process);
+            put_u64(out, *at_ms);
         }
         Frame::Released { process, at_ms } => {
-            body.push(T_RELEASED);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *at_ms);
+            out.push(T_RELEASED);
+            put_u32(out, *process);
+            put_u64(out, *at_ms);
         }
         Frame::Ping { nonce } => {
-            body.push(T_PING);
-            put_u32(&mut body, *nonce);
+            out.push(T_PING);
+            put_u32(out, *nonce);
         }
         Frame::Pong { nonce } => {
-            body.push(T_PONG);
-            put_u32(&mut body, *nonce);
+            out.push(T_PONG);
+            put_u32(out, *nonce);
         }
-        Frame::Bye => body.push(T_BYE),
+        Frame::Bye => out.push(T_BYE),
         Frame::Bind {
             process,
             session,
             token,
         } => {
-            body.push(T_BIND);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
+            out.push(T_BIND);
+            put_u32(out, *process);
+            put_u64(out, *session);
+            put_u64(out, *token);
         }
         Frame::Unbind { process } => {
-            body.push(T_UNBIND);
-            put_u32(&mut body, *process);
+            out.push(T_UNBIND);
+            put_u32(out, *process);
         }
         Frame::Bound {
             process,
@@ -280,35 +292,38 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             session,
             token,
         } => {
-            body.push(T_BOUND);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
-            body.push(path.to_byte());
+            out.push(T_BOUND);
+            put_u32(out, *process);
+            put_u64(out, *session);
+            put_u64(out, *token);
+            out.push(path.to_byte());
         }
         Frame::BindReject {
             process,
             code,
             retry_after_ms,
         } => {
-            body.push(T_BIND_REJECT);
-            put_u32(&mut body, *process);
-            body.push(*code);
-            put_u32(&mut body, *retry_after_ms);
+            out.push(T_BIND_REJECT);
+            put_u32(out, *process);
+            out.push(*code);
+            put_u32(out, *retry_after_ms);
         }
         Frame::Unbound { process } => {
-            body.push(T_UNBOUND);
-            put_u32(&mut body, *process);
+            out.push(T_UNBOUND);
+            put_u32(out, *process);
         }
     }
-    debug_assert!(!body.is_empty() && body.len() <= MAX_BODY);
-    let mut out = Vec::with_capacity(OVERHEAD + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let len = out.len() - start - 6;
+    debug_assert!(len > 0 && len <= MAX_BODY);
+    out[start + 4..start + 6].copy_from_slice(&(len as u16).to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// Total encoded length of the frame whose header begins `buf`. Only for
+/// bytes this codec wrote itself: the header is trusted, not validated.
+pub(crate) fn framed_len(buf: &[u8]) -> usize {
+    6 + u16::from_le_bytes([buf[4], buf[5]]) as usize + 4
 }
 
 fn parse_body(body: &[u8]) -> Result<Frame, WireError> {

@@ -7,8 +7,8 @@ use ekbd_net::wire::{
     REJECT_UNKNOWN_SESSION,
 };
 use ekbd_net::{
-    run_load, AdmitPath, ClientConfig, ClientError, DaemonServer, Frame, LoadPlan, MuxClient,
-    MuxEvent, ServerAddr, ServerConfig,
+    run_load, AdmitPath, BackendSpec, ClientConfig, ClientError, DaemonServer, Frame, LoadPlan,
+    MuxClient, MuxEvent, ServerAddr, ServerConfig,
 };
 use ekbd_runtime::RuntimeConfig;
 use std::io::{Read, Write};
@@ -402,6 +402,18 @@ impl RawConn {
         };
         self.stream.write_all(&encode_frame(&bind)).unwrap();
         let deadline = Instant::now() + wait_timeout();
+        loop {
+            let frame = self.next_frame(deadline);
+            if matches!(frame, Frame::Bound { process: p, .. } | Frame::BindReject { process: p, .. }
+                if p == process)
+            {
+                return frame;
+            }
+        }
+    }
+
+    /// The next frame other than a heartbeat, answering `Ping`s.
+    fn next_frame(&mut self, deadline: Instant) -> Frame {
         let mut chunk = [0u8; 1024];
         loop {
             while let Some((frame, n)) = decode_frame(&self.acc).unwrap() {
@@ -411,15 +423,11 @@ impl RawConn {
                         let pong = encode_frame(&Frame::Pong { nonce });
                         self.stream.write_all(&pong).unwrap();
                     }
-                    Frame::Bound { process: p, .. } | Frame::BindReject { process: p, .. }
-                        if p == process =>
-                    {
-                        return frame
-                    }
-                    _ => {}
+                    Frame::Pong { .. } => {}
+                    frame => return frame,
                 }
             }
-            assert!(Instant::now() < deadline, "no answer to {bind:?}");
+            assert!(Instant::now() < deadline, "no frame before the deadline");
             match self.stream.read(&mut chunk) {
                 Ok(0) => panic!("server closed the connection"),
                 Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
@@ -526,4 +534,115 @@ fn reconnect_readmits_every_process_under_its_own_credentials() {
     );
     assert_eq!(run.stats.fresh, 4, "only the first binds were fresh");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reactor's batched ingress: 256 `Hungry` frames arrive in one
+/// write, are decoded off one read and handed to the backend together,
+/// and every process is still granted and then released — in that order
+/// for each process.
+#[test]
+fn hungry_burst_in_one_write_grants_then_releases_every_process() {
+    let n = 256u32;
+    let cfg = ServerConfig {
+        backend: BackendSpec::Scale { seed: 9 },
+        max_sessions: n as usize,
+        ..ServerConfig::default()
+    };
+    let server = DaemonServer::start(topology::ring(n as usize), &ephemeral_tcp(), cfg).unwrap();
+    let mut raw = RawConn::dial(server.local_addr());
+    for p in 0..n {
+        assert!(
+            matches!(raw.bind(p, 0, 0), Frame::Bound { .. }),
+            "p{p} bound"
+        );
+    }
+    let burst: Vec<u8> = (0..n)
+        .flat_map(|process| encode_frame(&Frame::Hungry { process }))
+        .collect();
+    let written = raw.stream.write(&burst).unwrap();
+    assert_eq!(written, burst.len(), "the burst went out in one write");
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Seen {
+        Nothing,
+        Granted,
+        Released,
+    }
+    let mut seen = vec![Seen::Nothing; n as usize];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while seen.iter().any(|&s| s != Seen::Released) {
+        match raw.next_frame(deadline) {
+            Frame::Granted { process, .. } => {
+                let s = &mut seen[process as usize];
+                assert_eq!(*s, Seen::Nothing, "p{process} granted twice");
+                *s = Seen::Granted;
+            }
+            Frame::Released { process, .. } => {
+                let s = &mut seen[process as usize];
+                assert_eq!(*s, Seen::Granted, "p{process} released before its grant");
+                *s = Seen::Released;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    drop(raw);
+    let run = server.shutdown();
+    assert_eq!(run.stats.protocol_errors, 0, "{:?}", run.stats);
+    assert_eq!(run.scale.expect("scale report").mistakes, 0);
+}
+
+/// `MuxClient::hungry` only holds its frame; the held requests must go
+/// out before the client blocks in `next_event`, and ahead of a later
+/// control call (`unbind`, `bye`), which must still complete.
+#[test]
+fn held_requests_go_out_before_the_client_waits() {
+    let server =
+        DaemonServer::start(topology::ring(6), &ephemeral_tcp(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr().clone();
+    let k = 4u32;
+    let mut mux = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    for p in 1..k {
+        mux.bind(p).unwrap();
+    }
+    for p in 0..k {
+        mux.hungry(p).unwrap();
+    }
+    let mut granted = vec![false; k as usize];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while granted.iter().any(|&g| !g) {
+        assert!(Instant::now() < deadline, "held requests never went out");
+        if let MuxEvent::Granted { process, .. } = mux.next_event(wait_timeout()).unwrap() {
+            granted[process as usize] = true;
+        }
+    }
+
+    // A held request, then an unbind of the same process: both go out,
+    // in order, and the unbind is answered.
+    mux.hungry(3).unwrap();
+    mux.unbind(3).unwrap();
+    assert_eq!(mux.processes(), vec![0, 1, 2]);
+
+    // A held request, then a goodbye: the goodbye is still graceful, so
+    // binding p0 afresh elsewhere is not a crash recovery.
+    mux.hungry(0).unwrap();
+    mux.bye();
+    let mut next = MuxClient::connect(&addr, 5, ClientConfig::default()).unwrap();
+    let deadline = Instant::now() + wait_timeout();
+    let path = loop {
+        match next.bind(0) {
+            Err(ClientError::Rejected(REJECT_ALREADY_BOUND)) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            other => break other.unwrap(),
+        }
+    };
+    assert_eq!(
+        path,
+        AdmitPath::Fresh,
+        "bye after a held request was graceful"
+    );
+    next.bye();
+    let run = server.shutdown();
+    assert_eq!(run.stats.rejoined, 0, "{:?}", run.stats);
+    assert_eq!(run.stats.protocol_errors, 0, "{:?}", run.stats);
 }

@@ -16,10 +16,21 @@
 //!    second server silently stole a live server's socket;
 //! 5. a connected-but-silent dialer was counted as a protocol error,
 //!    polluting the misbehavior signal operators alert on.
+//!
+//! Later fixes and rules pinned here:
+//!
+//! 6. a `Bye` that arrived in the same read as the client's EOF was
+//!    dropped, so a graceful goodbye was usually handled as a crash;
+//! 7. the slow-reader rule: a connection is shed only once the frames its
+//!    socket *refused* reach `send_queue` — a reader that never reads is
+//!    shed, a reader handed a burst larger than `send_queue` in one
+//!    reactor turn is not.
 
 use ekbd_graph::topology;
+use ekbd_net::wire::REJECT_ALREADY_BOUND;
 use ekbd_net::{
-    ClientConfig, ClientError, DaemonServer, MuxClient, MuxEvent, ServerAddr, ServerConfig,
+    AdmitPath, BackendSpec, ClientConfig, ClientError, DaemonServer, MuxClient, MuxEvent,
+    ServerAddr, ServerConfig,
 };
 use ekbd_runtime::{RuntimeConfig, ThreadedDining};
 use ekbd_sim::ProcessId;
@@ -284,4 +295,135 @@ fn silent_dialer_counts_as_handshake_timeout_not_protocol_error() {
     }
     drop(silent);
     server.shutdown();
+}
+
+/// Binds `process` on `client`, waiting out `ALREADY_BOUND` while the
+/// server has not yet processed the end of the connection that held it.
+fn bind_once_released(client: &mut MuxClient, process: u32) -> AdmitPath {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match client.bind(process) {
+            Ok(path) => return path,
+            Err(ClientError::Rejected(REJECT_ALREADY_BOUND)) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("bind p{process}: {e}"),
+        }
+    }
+}
+
+/// Fix 6: `bye()` writes `Bye` and closes at once, so the server often
+/// reads the frame and the EOF together. It must dispatch the `Bye`
+/// before hanging up: the process is detached gracefully, and binding it
+/// again is fresh, not a rejoin after a crash. The pre-fix server hung up
+/// first and reported `Rejoined` in most of these runs.
+#[test]
+fn bye_read_together_with_eof_is_graceful() {
+    for run in 0..20 {
+        let server =
+            DaemonServer::start(topology::ring(3), &ephemeral_tcp(), ServerConfig::default())
+                .unwrap();
+        let addr = server.local_addr().clone();
+        MuxClient::connect(&addr, 0, ClientConfig::default())
+            .unwrap()
+            .bye();
+        let mut next = MuxClient::connect(&addr, 1, ClientConfig::default()).unwrap();
+        let path = bind_once_released(&mut next, 0);
+        assert_eq!(path, AdmitPath::Fresh, "run {run}: p0 was crashed by bye()");
+        next.bye();
+        let run_stats = server.shutdown().stats;
+        assert_eq!(run_stats.rejoined, 0, "run {run}: {run_stats:?}");
+    }
+}
+
+fn scale_server(n: usize, send_queue: usize) -> DaemonServer {
+    let cfg = ServerConfig {
+        backend: BackendSpec::Scale { seed: 3 },
+        max_sessions: n,
+        send_queue,
+        ..ServerConfig::default()
+    };
+    DaemonServer::start(topology::ring(n), &ephemeral_tcp(), cfg).unwrap()
+}
+
+/// Rule 7, shed half: a client that keeps asking to eat but never reads
+/// its grants fills the socket buffers; once the frames the socket
+/// refuses reach `send_queue`, the server sheds it and detaches its
+/// processes.
+#[test]
+fn reader_that_never_reads_is_shed_and_detached() {
+    let k = 256u32;
+    let server = scale_server(k as usize + 1, 16);
+    let addr = server.local_addr().clone();
+    let mut silent = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    for p in 1..k {
+        silent.bind(p).unwrap();
+    }
+    // Every completed cycle sends two frames this client never reads.
+    // The requests are paced: a flood would only keep the kernel busy
+    // taking them in.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    'asking: while server.stats().shed_slow == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "never shed: {:?}",
+            server.stats()
+        );
+        for p in 0..k {
+            if silent.hungry(p).is_err() {
+                break 'asking; // the server already closed the socket
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().shed_slow == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "never shed: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Its processes were detached: another client binds every one.
+    let mut next = MuxClient::connect(&addr, k, ClientConfig::default()).unwrap();
+    for p in 0..k {
+        assert_eq!(bind_once_released(&mut next, p), AdmitPath::Fresh);
+    }
+    next.bye();
+    drop(silent);
+    let stats = server.shutdown().stats;
+    assert!(stats.shed_slow >= 1, "{stats:?}");
+}
+
+/// Rule 7, keep half: a client that keeps reading is never shed, even
+/// when one reactor turn queues it many more frames than `send_queue`.
+/// All 32 processes go hungry in one write; the kernel grants about half
+/// of them at once, and the pump hands those grants to the reactor as
+/// one batch, far past a `send_queue` of 4.
+#[test]
+fn reader_that_keeps_reading_survives_bursts_past_send_queue() {
+    let k = 32u32;
+    let server = scale_server(k as usize, 4);
+    let addr = server.local_addr().clone();
+    let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    for p in 1..k {
+        client.bind(p).unwrap();
+    }
+    for round in 0..20 {
+        for p in 0..k {
+            client.hungry(p).unwrap();
+        }
+        let mut released = 0;
+        while released < k {
+            match client.next_event(Duration::from_secs(5)) {
+                Ok(MuxEvent::Released { .. }) => released += 1,
+                Ok(MuxEvent::Granted { .. }) => {}
+                Err(e) => panic!("round {round}: {e} after {released} releases"),
+            }
+        }
+    }
+    client.bye();
+    let stats = server.shutdown().stats;
+    assert_eq!(stats.shed_slow, 0, "a reading client was shed: {stats:?}");
 }

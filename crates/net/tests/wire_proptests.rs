@@ -3,9 +3,10 @@
 //! truncation point and every single-bit flip of every generated frame
 //! must be *detected*, never decoded as a (different) frame. The
 //! admission frames (`Bind`, `Bound`, `BindReject`), which carry the
-//! widest payloads, get a sweep of their own.
+//! widest payloads, get a sweep of their own, and batches appended into
+//! one buffer by `encode_frame_into` get a truncation sweep of theirs.
 
-use ekbd_net::wire::{decode_frame, encode_frame, AdmitPath, Frame};
+use ekbd_net::wire::{decode_frame, encode_frame, encode_frame_into, AdmitPath, Frame};
 use proptest::prelude::*;
 
 fn admit_path(b: u8) -> AdmitPath {
@@ -126,6 +127,23 @@ fn bit_flips_detected(f: &Frame) {
     }
 }
 
+/// Decodes `buf` with a cursor: every complete frame in order, stopping
+/// at the first incomplete one. Any decode error fails the test.
+fn cursor_decode(buf: &[u8]) -> Vec<Frame> {
+    let mut at = 0;
+    let mut frames = Vec::new();
+    loop {
+        match decode_frame(&buf[at..]) {
+            Ok(Some((frame, n))) => {
+                frames.push(frame);
+                at += n;
+            }
+            Ok(None) => return frames,
+            Err(e) => panic!("{} bytes of a valid batch failed to decode: {e}", buf.len()),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -180,5 +198,28 @@ proptest! {
         let (second, m) = decode_frame(&bytes[n..]).unwrap().expect("second frame complete");
         prop_assert_eq!(second, b);
         prop_assert_eq!(n + m, bytes.len());
+    }
+
+    /// A batch appended into one buffer is byte-for-byte the frames'
+    /// own encodings back to back, and cursor-decodes in order. Every
+    /// truncation of it decodes exactly the frames it holds whole, then
+    /// reads as incomplete.
+    #[test]
+    fn batched_frames_cursor_decode_and_truncate_to_a_prefix(
+        frames in proptest::collection::vec(frame(), 1..12)
+    ) {
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        for f in &frames {
+            encode_frame_into(f, &mut buf);
+            ends.push(buf.len());
+        }
+        let separate: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        prop_assert_eq!(&buf, &separate);
+        prop_assert_eq!(&cursor_decode(&buf), &frames);
+        for cut in 0..buf.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            prop_assert_eq!(&cursor_decode(&buf[..cut])[..], &frames[..whole]);
+        }
     }
 }
