@@ -50,6 +50,7 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
     let horizon = cfg.horizon;
     let mut kernel = kernel;
     let owner = std::mem::take(&mut kernel.owner);
+    let local = std::mem::take(&mut kernel.local);
 
     // mailboxes[src][dst]: events src produced for dst in the current
     // window. Only src writes before barrier A; only dst drains after it,
@@ -72,6 +73,7 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
             let cfg = &cfg;
             let colors = &colors;
             let owner = &owner;
+            let local = &local;
             let mailboxes = &mailboxes;
             let next_at = &next_at;
             let barrier = &barrier;
@@ -91,7 +93,7 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
                         break;
                     }
                     now = next;
-                    shard.process_tick(cfg, colors, owner, now, &mut out);
+                    shard.process_tick(cfg, colors, owner, local, now, &mut out);
                     for (dst, batch) in out.iter_mut().enumerate() {
                         if !batch.is_empty() {
                             mailboxes[sid][dst]
@@ -122,6 +124,7 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
         })
         .collect::<Vec<_>>();
     kernel.owner = owner;
+    kernel.local = local;
     let final_tick = shards.iter().map(|h| h.final_tick).max().unwrap_or(0);
     kernel.shards = shards.into_iter().map(|h| h.state).collect();
     kernel.into_report(final_tick, started.elapsed().as_nanos().max(1))
