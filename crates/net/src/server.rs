@@ -101,6 +101,13 @@ use std::time::{Duration, Instant};
 /// are slab indices and can never reach it.
 const WAKER_TOKEN: u64 = u64::MAX;
 
+/// Most bytes one connection may read per reactor turn. A client writing
+/// requests flat out would otherwise keep its reactor reading it alone
+/// while every other connection waits. Epoll is level-triggered, so what
+/// is left is reported again on the next turn. A closed-loop client with
+/// a few hundred requests in flight (15 B each) never reaches it.
+const READ_BUDGET: usize = 16 * 1024;
+
 /// Which dining backend a server fronts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendSpec {
@@ -983,17 +990,21 @@ impl Reactor {
             .is_some_and(|e| !e.dead)
     }
 
-    /// Reads everything available into the accumulator, then decodes. A
-    /// peer that wrote its last frames and closed (`Bye`, then EOF, seen
-    /// by one read) has those frames dispatched before the hang-up.
+    /// Reads up to [`READ_BUDGET`] bytes into the accumulator, then
+    /// decodes. Bytes left in the socket keep it readable, so the next
+    /// poll reports it again after every other ready connection had its
+    /// turn. A peer that wrote its last frames and closed (`Bye`, then
+    /// EOF, seen by one read) has those frames dispatched before the
+    /// hang-up.
     fn do_read(&mut self, slot: usize) {
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; READ_BUDGET];
+        let mut room = READ_BUDGET;
         let mut closed = false;
-        loop {
+        while room > 0 {
             let Some(entry) = self.slab[slot].as_mut() else {
                 return;
             };
-            match entry.conn.read(&mut chunk) {
+            match entry.conn.read(&mut chunk[..room]) {
                 Ok(0) => {
                     closed = true;
                     break;
@@ -1001,6 +1012,7 @@ impl Reactor {
                 Ok(n) => {
                     entry.strikes = 0;
                     entry.acc.extend_from_slice(&chunk[..n]);
+                    room -= n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
